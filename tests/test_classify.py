@@ -11,7 +11,7 @@ from mi_decode.classify import (
     load_classifier,
     save_classifier,
 )
-from mi_decode.errors import DimensionMismatch, MissingFile, SingleClass
+from mi_decode.errors import DimensionMismatch, MalformedMeta, MissingFile, SingleClass
 from mi_decode.session import ClassLabel
 
 L = ClassLabel.Left.value
@@ -195,4 +195,23 @@ def test_save_load_without_pca(tmp_path):
 
 def test_load_missing(tmp_path):
     with pytest.raises(MissingFile):
+        load_classifier(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "lda", "weights": [1.0]',  # truncated
+        '{"kind": "lda", "weights": [1.0], "class_means": [[0.0], [1.0]], '
+        '"priors": [0.5, 0.5]}',  # no bias
+        '{"kind": "lda", "weights": ["x"], "bias": 0.0, "class_means": [[0.0], [1.0]], '
+        '"priors": [0.5, 0.5]}',
+        '{"kind": "lda", "weights": 1.0, "bias": 0.0, "class_means": [[0.0], [1.0]], '
+        '"priors": [0.5, 0.5]}',
+        "[]",
+    ],
+)
+def test_load_malformed(tmp_path, text):
+    (tmp_path / "lda.json").write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedMeta):
         load_classifier(tmp_path)

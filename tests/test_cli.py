@@ -1,6 +1,7 @@
 """End-to-end command-line workflows (in-process, no subprocesses)."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -413,6 +414,36 @@ def test_config_file_missing_exits_1(cli_env, capsys):
     )
     assert rc == 1
     assert "MissingFile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,drop_key",
+    [
+        ("pca.json", "mean"),
+        ("pca.json", None),
+        ("lda.json", "bias"),
+        ("lda.json", None),
+    ],
+)
+def test_malformed_decoder_file_exits_1(cli_env, tmp_path, capsys, name, drop_key):
+    _, study, decoder = cli_env
+    broken = tmp_path / "decoder"
+    shutil.copytree(decoder, broken)
+    path = broken / name
+    text = path.read_text(encoding="utf-8")
+    if drop_key is None:  # truncated mid-document
+        text = text[: len(text) // 2]
+    else:
+        doc = json.loads(text)
+        del doc[drop_key]
+        text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    rc = main(
+        ["eval-samples", "--decoder", str(broken), "--session", str(study / "online1")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: MalformedMeta: ")
 
 
 def test_missing_decoder_exits_1(cli_env, tmp_path, capsys):

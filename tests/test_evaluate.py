@@ -1,6 +1,7 @@
 """Cross-validation, component sweep, decoder training and persistence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,15 +201,33 @@ def test_sweep_best_k_breaks_ties_downward():
     assert doc["points"][0] == {"k": 4, "mean_accuracy": 0.9}
 
 
-def test_pca_sweep_on_session(small_offline):
+def test_pca_sweep_on_session(small_offline, monkeypatch):
+    fits = []
+    orig = evaluate.fit_pipeline
+
+    def spy(raw_X, config):
+        fits.append(config.k)
+        return orig(raw_X, config)
+
+    monkeypatch.setattr(evaluate, "fit_pipeline", spy)
     sweep = pca_sweep(small_offline, ks=(8, 24), config=SMALL_FEATURES)
     assert [k for k, _ in sweep.points] == [8, 24]
     assert all(0.0 <= a <= 1.0 for _, a in sweep.points)
     assert len(sweep.reports) == 2
     assert sweep.best_k in (8, 24)
+    assert fits == [24, 24]  # one PCA fit per fold, at the largest k
 
     again = pca_sweep(small_offline, ks=(8, 24), config=SMALL_FEATURES)
     assert again.points == sweep.points
+
+    # slicing the largest fit scores each k as a fit at that k does
+    fm = evaluate.raw_feature_matrix(
+        session_windows(small_offline, PreprocessParams()), SMALL_FEATURES
+    )
+    for (k, mean), rep in zip(sweep.points, sweep.reports):
+        single = cv_from_matrix(fm, replace(SMALL_FEATURES, k=k))
+        assert mean == single.mean
+        assert rep.to_dict() == single.to_dict()
 
 
 def test_pca_sweep_rejects_bad_input(small_offline):

@@ -1,11 +1,19 @@
 """PCA, Welch PSD features, flattening, PCA persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import signal
 
 from mi_decode.dsp import Trial, window_trials
-from mi_decode.errors import BadK, DimensionMismatch, MissingFile, WindowTooShort
+from mi_decode.errors import (
+    BadK,
+    DimensionMismatch,
+    MalformedMeta,
+    MissingFile,
+    WindowTooShort,
+)
 from mi_decode.features import (
     PCA_PAYLOAD_NAME,
     PcaTransform,
@@ -135,6 +143,80 @@ def test_variance_curve_matches_full_fit():
     assert np.isclose(fracs[-1], 1.0, atol=1e-12)
     t = pca_fit(X, 6)
     assert np.allclose(fracs, np.cumsum(t.explained_variance_ratio), atol=1e-10)
+
+
+_numpy_svd = np.linalg.svd  # the oracle, untouched by the svd_calls spy
+
+
+def _oracle_components(X, k):
+    """Top-k right singular vectors of the centered data, sign rule applied."""
+    vt = _numpy_svd(X - X.mean(axis=0), full_matrices=False)[2][:k].copy()
+    for row in vt:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return vt
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count pca_fit's full-SVD fallbacks."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return _numpy_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape,k", [((40, 120), 10), ((300, 30), 12)])
+def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls):
+    rng = np.random.default_rng(4210)
+    X = rng.standard_normal(shape) * np.geomspace(4.0, 1.0, shape[1])
+    t = pca_fit(X, k)
+    assert svd_calls == []  # well conditioned: the eigen route is kept
+    oracle = _oracle_components(X, k)
+    assert np.abs(t.components - oracle).max() < 1e-10
+    assert np.abs(t.components @ t.components.T - np.eye(k)).max() < 1e-10
+
+
+def test_rank_n_minus_1_falls_back_to_orthonormal_rows(svd_calls):
+    # n < d rows center to rank n-1, so the n-th Gram eigenvalue is ~0 and
+    # the mapped-back row would be zero
+    rng = np.random.default_rng(4211)
+    for _ in range(5):  # the ~0 eigenvalue lands on either side of 0
+        X = rng.standard_normal((12, 40))
+        t = pca_fit(X, 12)
+        assert svd_calls.pop() == (12, 40) and not svd_calls
+        assert np.abs(t.components @ t.components.T - np.eye(12)).max() < 1e-10
+        assert np.abs(t.components - _oracle_components(X, 12)).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape,k", [((200, 40), 38), ((60, 80), 55)])
+def test_badly_scaled_columns_fall_back_to_exact_subspace(shape, k, svd_calls):
+    rng = np.random.default_rng(4212)
+    X = rng.standard_normal(shape) * np.geomspace(1.0, 1e-6, shape[1])
+    t = pca_fit(X, k)
+    assert svd_calls == [shape]
+    c = t.components
+    assert np.abs(c @ c.T - np.eye(k)).max() < 1e-10
+    oracle = _oracle_components(X, k)
+    assert np.abs(c.T @ c - oracle.T @ oracle).max() < 1e-10  # same span
+
+
+@pytest.mark.parametrize("shape", [(60, 150), (150, 40)])
+def test_components_nest_across_k(shape):
+    rng = np.random.default_rng(4213)
+    X = rng.standard_normal(shape) * np.geomspace(3.0, 1.0, shape[1])
+    big = pca_fit(X, 20)
+    for k in (1, 5, 12):
+        small = pca_fit(X, k)
+        assert np.abs(big.components[:k] - small.components).max() < 1e-12
+        assert np.allclose(
+            big.explained_variance_ratio[:k], small.explained_variance_ratio,
+            rtol=0, atol=1e-12,
+        )
 
 
 # --- Welch PSD --------------------------------------------------------------
@@ -316,4 +398,31 @@ def test_pca_load_errors(tmp_path):
     payload = tmp_path / PCA_PAYLOAD_NAME
     payload.write_bytes(payload.read_bytes()[:-4])
     with pytest.raises(DimensionMismatch):
+        load_pca(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("mean"),
+        lambda doc: doc.update(k="two"),
+        lambda doc: doc.update(mean=[0.0]),
+        lambda doc: doc.update(explained_variance_ratio=None),
+    ],
+)
+def test_pca_load_malformed_meta(tmp_path, edit):
+    save_pca(pca_fit(np.random.default_rng(4218).standard_normal((10, 4)), 2), tmp_path)
+    meta = tmp_path / "pca.json"
+    doc = json.loads(meta.read_text(encoding="utf-8"))
+    edit(doc)
+    meta.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedMeta):
+        load_pca(tmp_path)
+
+
+def test_pca_load_truncated_meta(tmp_path):
+    save_pca(pca_fit(np.random.default_rng(4219).standard_normal((10, 4)), 2), tmp_path)
+    meta = tmp_path / "pca.json"
+    meta.write_text(meta.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    with pytest.raises(MalformedMeta):
         load_pca(tmp_path)
