@@ -95,6 +95,20 @@ CONFIG_DEFAULTS = {
 }
 
 
+def _json_type_ok(value, default) -> bool:
+    """Whether a config-file value has its default's JSON type.
+
+    An int may stand for a float, but a bool never stands for a number.
+    """
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_json_type_ok(v, 0.0) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags, rejecting unknown config keys."""
     cfg = dict(CONFIG_DEFAULTS)
@@ -112,6 +126,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = sorted(set(doc) - set(cfg))
         if unknown:
             raise MalformedMeta(f"{path}: unknown config keys {unknown}")
+        for key, value in doc.items():
+            if not _json_type_ok(value, CONFIG_DEFAULTS[key]):
+                raise MalformedMeta(
+                    f"{path}: config key {key!r} needs the JSON type of its "
+                    f"default {json.dumps(CONFIG_DEFAULTS[key])}, got {json.dumps(value)}"
+                )
         cfg.update(doc)
     for key in CONFIG_DEFAULTS:
         v = getattr(args, key, None)

@@ -44,6 +44,10 @@ class UnknownEventCode(DecodeError):
     pass
 
 
+class NonFiniteSample(DecodeError):
+    pass
+
+
 # --- dsp ---
 
 class InvalidBand(DecodeError):

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,33 +48,12 @@ from .features import (
 from .session import Recording, Session
 from .version import __version__
 
-T = TypeVar("T")
-U = TypeVar("U")
-
 MODE_PCA = "pca"
 MODE_PSD = "psd"
 MODE_PSD_PCA = "psd+pca"
 FEATURE_MODES = (MODE_PCA, MODE_PSD, MODE_PSD_PCA)
 
 DEFAULT_SWEEP_KS = (50, 100, 200, 400, 800, 1600)
-
-
-def worker_count() -> int:
-    """Worker cap from MI_DECODE_THREADS; 1 (sequential) by default."""
-    raw = os.environ.get("MI_DECODE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """map() preserving input order, threaded when MI_DECODE_THREADS > 1."""
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -156,12 +133,6 @@ def config_hash(
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def session_windows(
-    session: Session, params: PreprocessParams, causal: bool = False
-) -> WindowSet:
-    return windows_from_recording(session.recording, params, causal=causal)
-
-
 @dataclass(frozen=True)
 class Decoder:
     """A trained preprocessing + feature + classifier stack."""
@@ -235,6 +206,7 @@ def _cv_per_k(
     fit_config = replace(config, k=max(ks)) if config.uses_pca else config
     col_counts = ks if config.uses_pca else [None]
 
+    # one call per fold, so a fold's arrays are freed before the next allocates
     def one_fold(r: int) -> list[float]:
         test = fm.run_index == r
         Xtr, ytr = fm.X[~test], fm.labels[~test]
@@ -247,7 +219,7 @@ def _cv_per_k(
             accs.append(float(np.mean(clf.predict(Zte[:, :k]) == yte)))
         return accs
 
-    per_fold = _map_ordered(one_fold, [int(r) for r in runs])
+    per_fold = [one_fold(int(r)) for r in runs]
     return [
         CvReport(
             fold_accuracy=tuple(accs[i] for accs in per_fold),
@@ -264,7 +236,7 @@ def runwise_cv(
     params: PreprocessParams = PreprocessParams(),
     clf_kind: str = "lda",
 ) -> CvReport:
-    ws = session_windows(session, params)
+    ws = windows_from_recording(session.recording, params)
     return cv_from_matrix(raw_feature_matrix(ws, config), config, clf_kind)
 
 
@@ -301,7 +273,7 @@ def pca_sweep(
         raise BadK("sweep needs at least one k")
     if not config.uses_pca:
         raise BadK(f"mode {config.mode!r} has no PCA stage to sweep")
-    ws = session_windows(session, params)
+    ws = windows_from_recording(session.recording, params)
     fm = raw_feature_matrix(ws, config)
     reports = _cv_per_k(fm, config, ks, clf_kind)
     points = tuple((k, rep.mean) for k, rep in zip(ks, reports))
@@ -337,7 +309,7 @@ def train_decoder(
     raws = []
     labels = []
     for s in sessions:
-        ws = session_windows(s, params)
+        ws = windows_from_recording(s.recording, params)
         fm = raw_feature_matrix(ws, config)
         raws.append(fm.X)
         labels.append(fm.labels)
@@ -375,7 +347,7 @@ class SampleReport:
 
 def eval_samples(decoder: Decoder, session: Session) -> SampleReport:
     """Score every window of a session with the decoder's own feature path."""
-    ws = session_windows(session, decoder.params)
+    ws = windows_from_recording(session.recording, decoder.params)
     pred = decoder.predict_windows(ws)
     y = ws.labels
     conf = tuple(

@@ -7,6 +7,11 @@ as the decimal numbers they were written as, so thresholds that are exact
 multiples of the step (0.3 with 0.1, say) need the extra vote that exact
 decimal arithmetic demands — a plain float running sum gets this wrong
 because 0.1 * 3 > 0.3 in binary floating point.
+
+Batch replay, grid search and the streamed replay share one decision loop
+(``_walk``), so a tuned (threshold, step) decides live exactly as it did
+offline. Each evidence value is the exact decimal ``net * step`` rounded
+once to a float, computed by integer true division.
 """
 
 from __future__ import annotations
@@ -80,6 +85,30 @@ class EvidenceOutcome:
     trajectory: tuple[float, ...]
 
 
+def _walk(
+    votes: Iterable[int], cfg: EvidenceConfig
+) -> Iterator[tuple[float, Outcome | None]]:
+    """The one decision loop, shared by batch replay, grid search and stream.
+
+    Pulls votes one at a time and yields (evidence, decision) after each;
+    decision is None until |net votes| reaches ``votes_to_decide``, and the
+    walk returns at the deciding vote, so a lazy source is never read past
+    it. A walk that ends undecided is a timeout. Evidence is the exact
+    decimal ``net * step``, rounded once by Python's int true division.
+    """
+    need = cfg.votes_to_decide
+    step = _decimal(cfg.step)
+    num, den = step.numerator, step.denominator
+    net = 0
+    for v in votes:
+        net += 1 if int(v) == ClassLabel.Right.value else -1
+        ev = net * num / den
+        if abs(net) >= need:
+            yield ev, Outcome.Right if net > 0 else Outcome.Left
+            return
+        yield ev, None
+
+
 def accumulate(
     predictions: Sequence[int] | np.ndarray, cfg: EvidenceConfig
 ) -> EvidenceOutcome:
@@ -99,20 +128,13 @@ def accumulate(
         window consumed, and the evidence value after every consumed
         window. Windows after the stop index are never consumed.
     """
-    preds = [int(p) for p in predictions]
-    if not preds:
+    if len(predictions) == 0:
         raise EmptyTrial("cannot accumulate over zero windows")
-    need = cfg.votes_to_decide
-    step = _decimal(cfg.step)
-    net = 0
-    trajectory: list[float] = []
-    for i, p in enumerate(preds):
-        net += 1 if p == ClassLabel.Right.value else -1
-        trajectory.append(float(net * step))
-        if abs(net) >= need:
-            decision = Outcome.Right if net > 0 else Outcome.Left
-            return EvidenceOutcome(decision, i + 1, tuple(trajectory))
-    return EvidenceOutcome(Outcome.Timeout, len(preds), tuple(trajectory))
+    trajectory = []
+    for ev, decision in _walk(predictions, cfg):
+        trajectory.append(ev)
+    return EvidenceOutcome(decision or Outcome.Timeout, len(trajectory),
+                           tuple(trajectory))
 
 
 @dataclass(frozen=True)
@@ -204,33 +226,37 @@ class TrialReport:
         return doc
 
 
-def _latency_s(outcome: EvidenceOutcome, params: PreprocessParams) -> float | None:
-    if outcome.decision is Outcome.Timeout:
-        return None
-    # the k-th window's last sample arrives win_len + (k-1)*step seconds in
-    return params.win_len_s + (outcome.stop_index - 1) * params.step_s
-
-
-def _report_from_predictions(
-    ws: WindowSet, predictions: np.ndarray, cfg: EvidenceConfig, params: PreprocessParams
+def _report(
+    labels: Sequence[ClassLabel],
+    outcomes: Sequence[EvidenceOutcome],
+    cfg: EvidenceConfig,
+    params: PreprocessParams,
 ) -> TrialReport:
+    """The trial report for per-trial labels and outcomes, in trial order."""
     results = []
-    label_of = {int(t): int(ws.labels[sl][0]) for t, sl in ws.trial_slices()}
-    for t, sl in ws.trial_slices():
-        outcome = accumulate(predictions[sl], cfg)
-        results.append(
-            TrialResult(
-                label=ClassLabel(label_of[t]),
-                outcome=outcome,
-                latency_s=_latency_s(outcome, params),
-            )
-        )
+    for label, outcome in zip(labels, outcomes):
+        latency = None
+        if outcome.decision is not Outcome.Timeout:
+            # the k-th window's last sample arrives win_len + (k-1)*step seconds in
+            latency = params.win_len_s + (outcome.stop_index - 1) * params.step_s
+        results.append(TrialResult(label=label, outcome=outcome, latency_s=latency))
     return TrialReport(
         results=tuple(results),
         config=cfg,
         win_len_s=params.win_len_s,
         step_s=params.step_s,
     )
+
+
+def _trial_votes(
+    decoder, rec: Recording, causal: bool
+) -> tuple[list[ClassLabel], list[list[int]]]:
+    """Each trial's label and window votes, predicted in one batch."""
+    ws = decoder.windows(rec, causal=causal)
+    predictions = np.asarray(decoder.predict_windows(ws)).tolist()
+    slices = [sl for _, sl in ws.trial_slices()]
+    labels = [ClassLabel(int(ws.labels[sl.start])) for sl in slices]
+    return labels, [predictions[sl] for sl in slices]
 
 
 def replay_session(
@@ -242,9 +268,9 @@ def replay_session(
     ``predict_windows(ws)``; predictions are computed for all windows, the
     accumulator then consumes each trial's prefix.
     """
-    ws = decoder.windows(rec, causal=causal)
-    predictions = decoder.predict_windows(ws)
-    return _report_from_predictions(ws, predictions, cfg, decoder.params)
+    labels, votes = _trial_votes(decoder, rec, causal)
+    outcomes = [accumulate(v, cfg) for v in votes]
+    return _report(labels, outcomes, cfg, decoder.params)
 
 
 @dataclass(frozen=True)
@@ -314,12 +340,12 @@ def grid_search(
     if objective not in ("counts", "weighted"):
         raise ValueError(f"unknown objective {objective!r}")
 
-    ws = decoder.windows(rec, causal=causal)
-    predictions = decoder.predict_windows(ws)
+    labels, votes = _trial_votes(decoder, rec, causal)
     cells = []
     for th, d in product(thresholds, steps):
         cfg = EvidenceConfig(threshold=th, step=d)
-        cells.append((cfg, _report_from_predictions(ws, predictions, cfg, decoder.params)))
+        outcomes = [accumulate(v, cfg) for v in votes]
+        cells.append((cfg, _report(labels, outcomes, cfg, decoder.params)))
 
     if objective == "counts":
         def key(cell):
@@ -381,11 +407,8 @@ def stream_replay(
             block = block - block.mean(axis=1, keepdims=True)
 
         n_windows = 1 + (block.shape[0] - win) // step
-        need = cfg.votes_to_decide
-        step_frac = _decimal(cfg.step)
-        net = 0
-        for w in range(n_windows):
-            one = WindowSet(
+        votes = (  # lazy: a window is scored only when the walk asks for its vote
+            int(decoder.predict_windows(WindowSet(
                 windows=block[w * step : w * step + win][None],
                 labels=np.array([trial.label.value]),
                 trial_index=np.array([t]),
@@ -393,22 +416,20 @@ def stream_replay(
                 fs=rec.fs,
                 win_len=win,
                 win_step=step,
-            )
-            vote = int(decoder.predict_windows(one)[0])
-            net += 1 if vote == ClassLabel.Right.value else -1
-            ev = float(net * step_frac)
-            if abs(net) >= need:
-                outcome = "Right" if net > 0 else "Left"
-            elif w + 1 == n_windows:
+            ))[0])
+            for w in range(n_windows)
+        )
+        for w, (ev, decision) in enumerate(_walk(votes, cfg), 1):
+            if decision is not None:
+                outcome = decision.name
+            elif w == n_windows:
                 outcome = "Timeout"
             else:
                 outcome = "accumulating"
             if realtime:
                 time.sleep(params.step_s)
-            yield StreamEvent(trial_index=t, window_index=w + 1,
+            yield StreamEvent(trial_index=t, window_index=w,
                               evidence=ev, state=outcome)
-            if outcome != "accumulating":
-                break
 
 
 def stream_to_report(
@@ -423,7 +444,6 @@ def stream_to_report(
     on_event, when given, is called with every StreamEvent as it happens.
     """
     labels = [t.label for t in extract_trials(rec)]
-    params: PreprocessParams = decoder.params
     traj: dict[int, list[float]] = {}
     final: dict[int, str] = {}
     for ev in stream_replay(decoder, rec, cfg, realtime=realtime):
@@ -431,20 +451,8 @@ def stream_to_report(
             on_event(ev)
         traj.setdefault(ev.trial_index, []).append(ev.evidence)
         final[ev.trial_index] = ev.state
-    results = []
-    for t, label in enumerate(labels):
-        outcome = EvidenceOutcome(
-            decision=Outcome(final[t]),
-            stop_index=len(traj[t]),
-            trajectory=tuple(traj[t]),
-        )
-        results.append(
-            TrialResult(label=label, outcome=outcome,
-                        latency_s=_latency_s(outcome, params))
-        )
-    return TrialReport(
-        results=tuple(results),
-        config=cfg,
-        win_len_s=params.win_len_s,
-        step_s=params.step_s,
-    )
+    outcomes = [
+        EvidenceOutcome(Outcome(final[t]), len(traj[t]), tuple(traj[t]))
+        for t in range(len(labels))
+    ]
+    return _report(labels, outcomes, cfg, decoder.params)

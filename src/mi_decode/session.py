@@ -29,6 +29,7 @@ from .errors import (
     LengthMismatch,
     MalformedMeta,
     MissingFile,
+    NonFiniteSample,
     NonNumericCell,
     RaggedRows,
     UnknownEventCode,
@@ -149,7 +150,7 @@ class SessionMeta:
     def __post_init__(self):
         object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
         if self.n_runs < 1:
-            raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
+            raise MalformedMeta(f"n_runs must be >= 1, got {self.n_runs}")
 
 
 class Session(NamedTuple):
@@ -194,6 +195,16 @@ def save_session(rec: Recording, meta: SessionMeta, path) -> None:
         raise IoFailure(f"cannot write session to {path}: {exc}") from exc
 
 
+def _check_finite(samples: np.ndarray, source) -> None:
+    """Refuse NaN/Inf samples: the filters would smear one over the recording."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteSample(
+            f"{source}: sample {row} channel {col} is {samples[row, col]}"
+        )
+
+
 def load_session(path) -> Session:
     """Load a session directory written by save_session."""
     path = Path(path)
@@ -232,7 +243,7 @@ def load_session(path) -> Session:
         )
     except UnsortedEvents:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MalformedMeta) as exc:
         raise MalformedMeta(f"{meta_path}: {exc}") from exc
 
     raw = samples_path.read_bytes()
@@ -247,9 +258,13 @@ def load_session(path) -> Session:
         .reshape(n_samples, n_channels)
         .astype(np.float64)
     )
-    rec = Recording(
-        samples=samples, fs=fs, channel_labels=channel_labels, events=events
-    )
+    _check_finite(samples, samples_path)
+    try:
+        rec = Recording(
+            samples=samples, fs=fs, channel_labels=channel_labels, events=events
+        )
+    except ValueError as exc:
+        raise MalformedMeta(f"{meta_path}: {exc}") from exc
     run_refs = {ev.run_index for ev in events}
     if run_refs and max(run_refs) >= meta.n_runs:
         raise MalformedMeta(
@@ -328,6 +343,7 @@ def import_csv(
                     EventMarker(sample_index=r, kind=label_map[code], run_index=0)
                 )
 
+    _check_finite(samples, path)
     if header is not None:
         labels = tuple(header[c] for c in chan_idx)
     else:

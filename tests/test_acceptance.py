@@ -24,13 +24,13 @@ from mi_decode.dsp import (
     filter_offline,
     preprocess,
     window_trials,
+    windows_from_recording,
 )
 from mi_decode.evaluate import (
     FeatureConfig,
     cv_from_matrix,
     finetune_experiment,
     raw_feature_matrix,
-    session_windows,
     train_decoder,
 )
 from mi_decode.evidence import (
@@ -322,7 +322,7 @@ def test_criterion_8_end_to_end_study():
 
     config = FeatureConfig(mode="psd", k=None)
     params = PreprocessParams()
-    fm = raw_feature_matrix(session_windows(offline, params), config)
+    fm = raw_feature_matrix(windows_from_recording(offline.recording, params), config)
 
     # run-wise CV on the offline session beats 70%
     cv = cv_from_matrix(fm, config)

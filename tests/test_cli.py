@@ -457,3 +457,104 @@ def test_missing_decoder_exits_1(cli_env, tmp_path, capsys):
     )
     assert rc == 1
     assert "MissingFile" in capsys.readouterr().err
+
+
+# --- refused inputs: one error line, never a traceback ----------------------
+
+
+def _single_error(capsys, rc, kind):
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {kind}: ")
+
+
+def test_event_past_end_of_session_exits_1(cli_env, tmp_path, capsys):
+    _, study, decoder = cli_env
+    broken = tmp_path / "session"
+    shutil.copytree(study / "online1", broken)
+    meta_path = broken / "meta.json"
+    doc = json.loads(meta_path.read_text(encoding="utf-8"))
+    doc["events"][-1]["sample_index"] = doc["n_samples"] + 100
+    meta_path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["eval-samples", "--decoder", str(decoder), "--session", str(broken)])
+    _single_error(capsys, rc, "MalformedMeta")
+
+
+def test_import_csv_zero_runs_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "rec.csv"
+    _write_csv(csv_path)
+    rc = main(
+        [
+            "import-csv",
+            "--csv", str(csv_path),
+            "--out", str(tmp_path / "sess"),
+            "--fs", "16",
+            "--runs", "0",
+        ]
+    )
+    _single_error(capsys, rc, "MalformedMeta")
+
+
+@pytest.mark.parametrize(
+    "command,settings",
+    [
+        ("eval-trials", {"theta": "abc"}),
+        ("replay", {"theta": "abc"}),
+        ("eval-trials", {"causal": 1}),
+        ("eval-trials", {"delta": True}),
+        ("eval-trials", {"seed": 7.5}),
+        ("eval-trials", {"thresholds": [0.1, "x"]}),
+        ("eval-trials", {"k": None}),
+    ],
+)
+def test_config_value_of_wrong_type_exits_1(cli_env, tmp_path, capsys, command, settings):
+    _, study, decoder = cli_env
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings), encoding="utf-8")
+    rc = main(
+        [
+            command,
+            "--decoder", str(decoder),
+            "--session", str(study / "online1"),
+            "--config", str(cfg_path),
+        ]
+    )
+    _single_error(capsys, rc, "MalformedMeta")
+
+
+def test_config_int_stands_for_float(cli_env, tmp_path, capsys):
+    _, study, decoder = cli_env
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"theta": 1, "delta": 1}), encoding="utf-8")
+    doc = run_json(
+        capsys,
+        [
+            "eval-trials",
+            "--decoder", str(decoder),
+            "--session", str(study / "online1"),
+            "--config", str(cfg_path),
+        ],
+    )
+    assert doc["trials"]["threshold"] == 1.0
+
+
+def test_nan_sample_in_session_exits_1(cli_env, tmp_path, capsys):
+    _, study, decoder = cli_env
+    broken = tmp_path / "session"
+    shutil.copytree(study / "online1", broken)
+    payload = broken / "samples.f32le"
+    samples = np.frombuffer(payload.read_bytes(), dtype="<f4").copy()
+    samples[1000] = np.nan
+    payload.write_bytes(samples.tobytes())
+    rc = main(["eval-samples", "--decoder", str(decoder), "--session", str(broken)])
+    _single_error(capsys, rc, "NonFiniteSample")
+
+
+def test_import_csv_inf_cell_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "rec.csv"
+    csv_path.write_text("a,b\n1.0,2.0\n3.0,inf\n", encoding="utf-8")
+    rc = main(
+        ["import-csv", "--csv", str(csv_path), "--out", str(tmp_path / "sess"), "--fs", "8"]
+    )
+    _single_error(capsys, rc, "NonFiniteSample")
+    assert not (tmp_path / "sess").exists()

@@ -8,7 +8,7 @@ import pytest
 
 import mi_decode.evaluate as evaluate
 from mi_decode.classify import save_classifier
-from mi_decode.dsp import PreprocessParams
+from mi_decode.dsp import PreprocessParams, windows_from_recording
 from mi_decode.errors import (
     BadK,
     DimensionMismatch,
@@ -32,10 +32,7 @@ from mi_decode.evaluate import (
     pca_sweep,
     runwise_cv,
     save_decoder,
-    session_windows,
     train_decoder,
-    worker_count,
-    _map_ordered,
 )
 from mi_decode.features import FeatureMatrix, WelchSpec, pca_fit
 from mi_decode.session import EventKind, EventMarker, Recording, Session, SessionKind
@@ -81,29 +78,6 @@ def test_config_hash_reacts_to_every_piece():
     assert base != config_hash(PreprocessParams(low_hz=5.0), config, "lda")
     assert base != config_hash(params, FeatureConfig(mode="psd+pca", k=25), "lda")
     assert base != config_hash(params, config, "centroid")
-
-
-# --- worker pool ------------------------------------------------------------
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("MI_DECODE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MI_DECODE_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("MI_DECODE_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("MI_DECODE_THREADS", "lots")
-    assert worker_count() == 1
-
-
-def test_map_ordered_keeps_order(monkeypatch):
-    items = list(range(16))
-    expected = [i * i for i in items]
-    monkeypatch.setenv("MI_DECODE_THREADS", "1")
-    assert _map_ordered(lambda i: i * i, items) == expected
-    monkeypatch.setenv("MI_DECODE_THREADS", "4")
-    assert _map_ordered(lambda i: i * i, items) == expected
 
 
 # --- cross-validation -------------------------------------------------------
@@ -174,7 +148,7 @@ def test_runwise_cv_learns_the_small_session(small_offline):
 
 
 def test_shuffled_labels_drop_to_chance(small_offline):
-    ws = session_windows(small_offline, PreprocessParams())
+    ws = windows_from_recording(small_offline.recording, PreprocessParams())
     fm = evaluate.raw_feature_matrix(ws, SMALL_FEATURES)
     rng = np.random.default_rng(4502)
     shuffled = FeatureMatrix(
@@ -222,7 +196,7 @@ def test_pca_sweep_on_session(small_offline, monkeypatch):
 
     # slicing the largest fit scores each k as a fit at that k does
     fm = evaluate.raw_feature_matrix(
-        session_windows(small_offline, PreprocessParams()), SMALL_FEATURES
+        windows_from_recording(small_offline.recording, PreprocessParams()), SMALL_FEATURES
     )
     for (k, mean), rep in zip(sweep.points, sweep.reports):
         single = cv_from_matrix(fm, replace(SMALL_FEATURES, k=k))

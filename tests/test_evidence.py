@@ -1,5 +1,6 @@
 """Evidence accumulation, trial replay, threshold/step grid search, streaming."""
 
+import math
 import re
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mi_decode.dsp import PreprocessParams, Trial, window_trials
+from mi_decode.dsp import PreprocessParams, Trial, extract_trials, window_trials
 from mi_decode.errors import (
     EmptyGrid,
     EmptyTrial,
@@ -33,17 +34,23 @@ R = ClassLabel.Right.value
 
 
 def brute_force(preds, theta, delta):
-    """Independent interpreter: exact decimal running sum, strict threshold."""
+    """Independent interpreter: exact decimal running sum, strict threshold.
+
+    Returns the decision, the stop index and the trajectory, each exact
+    running sum rounded once to a float.
+    """
     th = Fraction(str(theta))
     d = Fraction(str(delta))
     ev = Fraction(0)
+    trajectory = []
     for i, p in enumerate(preds):
         ev += d if p == R else -d
+        trajectory.append(float(ev))
         if ev > th:
-            return Outcome.Right, i + 1
+            return Outcome.Right, i + 1, tuple(trajectory)
         if -ev > th:
-            return Outcome.Left, i + 1
-    return Outcome.Timeout, len(preds)
+            return Outcome.Left, i + 1, tuple(trajectory)
+    return Outcome.Timeout, len(preds), tuple(trajectory)
 
 
 # --- config -----------------------------------------------------------------
@@ -146,8 +153,19 @@ def test_matches_brute_force_interpreter():
         delta = int(rng.integers(1, int(theta * 100) + 1)) / 100
         preds = rng.integers(0, 2, size=int(rng.integers(1, 41))).tolist()
         got = accumulate(preds, EvidenceConfig(theta, delta))
-        want_dec, want_stop = brute_force(preds, theta, delta)
-        assert (got.decision, got.stop_index) == (want_dec, want_stop)
+        assert (got.decision, got.stop_index, got.trajectory) == brute_force(
+            preds, theta, delta
+        )
+    # steps whose shortest repr is long, so the exact decimal's numerator
+    # is near 2**53 and each evidence value must round exactly once
+    for delta in (0.1 + 0.2, 1 / 3, 0.07 * 3, 2 / 7):
+        for _ in range(200):
+            theta = int(rng.integers(math.ceil(delta * 100), 101)) / 100
+            preds = rng.integers(0, 2, size=int(rng.integers(1, 64))).tolist()
+            got = accumulate(preds, EvidenceConfig(theta, delta))
+            assert (got.decision, got.stop_index, got.trajectory) == brute_force(
+                preds, theta, delta
+            )
 
 
 def test_stop_index_and_timeouts_monotone_in_threshold():
@@ -318,7 +336,7 @@ def test_grid_best_matches_exhaustive_re_evaluation():
         for d in steps:
             correct = incorrect = timeout = 0
             for t, sl in ws.trial_slices():
-                dec, _ = brute_force(votes[sl].tolist(), th, d)
+                dec, _, _ = brute_force(votes[sl].tolist(), th, d)
                 label = ClassLabel(int(ws.labels[sl][0]))
                 if dec is Outcome.Timeout:
                     timeout += 1
@@ -442,6 +460,28 @@ def test_stream_event_invariants(small_decoder, stream_session):
         assert evs[-1].state == out.decision.name
         assert len(evs) == out.stop_index
         assert tuple(e.evidence for e in evs) == out.trajectory
+
+
+def test_stream_scores_no_window_after_a_decision(small_decoder, stream_session):
+    class CountingDecoder:
+        def __init__(self, inner):
+            self.params = inner.params
+            self.inner = inner
+            self.calls = 0
+
+        def predict_windows(self, ws):
+            self.calls += 1
+            return self.inner.predict_windows(ws)
+
+    rec = stream_session.recording
+    counting = CountingDecoder(small_decoder)
+    events = list(stream_replay(counting, rec, EvidenceConfig(0.3, 0.1)))
+    assert counting.calls == len(events)
+    # the trials decide early, so scoring every window would be more calls
+    params = small_decoder.params
+    win, step = round(params.win_len_s * rec.fs), round(params.step_s * rec.fs)
+    all_windows = sum(1 + (t.n_samples - win) // step for t in extract_trials(rec))
+    assert len(events) < all_windows
 
 
 def test_stream_on_event_callback(small_decoder, stream_session):
