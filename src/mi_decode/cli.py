@@ -30,6 +30,7 @@ from .evaluate import (
 from .evidence import (
     DEFAULT_STEPS,
     DEFAULT_THRESHOLDS,
+    OBJECTIVES,
     EvidenceConfig,
     grid_search,
     replay_session,
@@ -132,6 +133,11 @@ def _resolve(args: argparse.Namespace) -> dict:
                     f"{path}: config key {key!r} needs the JSON type of its "
                     f"default {json.dumps(CONFIG_DEFAULTS[key])}, got {json.dumps(value)}"
                 )
+        if "objective" in doc and doc["objective"] not in OBJECTIVES:
+            raise MalformedMeta(
+                f"{path}: config key 'objective' must be one of "
+                f"{list(OBJECTIVES)}, got {json.dumps(doc['objective'])}"
+            )
         cfg.update(doc)
     for key in CONFIG_DEFAULTS:
         v = getattr(args, key, None)
@@ -483,7 +489,7 @@ def _add_evidence_opts(p: argparse.ArgumentParser) -> None:
 def _add_grid_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--thresholds", dest="thresholds", type=_float_list)
     p.add_argument("--steps", dest="steps", type=_float_list)
-    p.add_argument("--objective", dest="objective", choices=("counts", "weighted"))
+    p.add_argument("--objective", dest="objective", choices=OBJECTIVES)
     p.add_argument("--alpha", dest="alpha", type=float)
     p.add_argument("--beta", dest="beta", type=float)
 

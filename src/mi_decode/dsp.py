@@ -294,6 +294,11 @@ class WindowSet:
 
     windows is (n_windows, win_len, n_channels); labels, trial_index and
     run_index are parallel length-n_windows arrays.
+
+    Within one trial (one row range of trial_slices) the windows are
+    consecutive and win_step samples apart, as window_trials cuts them:
+    row i + 1 starts win_step samples after row i. psd_features relies on
+    this to compute each Welch segment that overlapping windows share once.
     """
 
     windows: np.ndarray
@@ -327,14 +332,11 @@ class WindowSet:
 
     def trial_slices(self) -> list[tuple[int, slice]]:
         """(trial_index, row slice) per trial, in temporal order."""
-        out = []
         idx = self.trial_index
-        start = 0
-        for i in range(1, len(idx) + 1):
-            if i == len(idx) or idx[i] != idx[start]:
-                out.append((int(idx[start]), slice(start, i)))
-                start = i
-        return out
+        if len(idx) == 0:
+            return []
+        bounds = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
+        return [(int(idx[a]), slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def _samples_per(value_s: float, fs: float, what: str) -> int:

@@ -39,6 +39,7 @@ from .session import ClassLabel, Recording
 
 DEFAULT_THRESHOLDS = tuple(i / 10 for i in range(1, 11))
 DEFAULT_STEPS = tuple(i / 100 for i in range(1, 11))
+OBJECTIVES = ("counts", "weighted")  # grid_search winner rules
 
 
 class Outcome(Enum):
@@ -337,7 +338,7 @@ def grid_search(
     steps = sorted(set(float(d) for d in steps))
     if not thresholds or not steps:
         raise EmptyGrid("need at least one threshold and one step")
-    if objective not in ("counts", "weighted"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
 
     labels, votes = _trial_votes(decoder, rec, causal)

@@ -7,11 +7,16 @@ full SVD of the centered data when squaring would lose the trailing
 components; a fixed sign convention makes refits bit-identical.
 The Welch estimator uses Hann-tapered, 50%-overlapping modified
 periodograms with one-sided density scaling; nperseg=256 at fs=512 gives
-the 129 bins the rest of the pipeline expects.
+the 129 bins the rest of the pipeline expects. Overlapping windows of a
+trial share segments, so psd_features computes each distinct segment's
+periodogram once per trial and averages every window's own segments in
+the same order as welch_psd; each feature row equals welch_psd of its
+window bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -164,29 +169,105 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _welch_stack(x: np.ndarray, spec: WelchSpec, fs: float) -> np.ndarray:
-    """Welch PSD along axis 1 of a (..., n_time, n_channels) stack.
+@functools.lru_cache(maxsize=8)
+def _taper(nperseg: int, n_channels: int) -> tuple[np.ndarray, float]:
+    """The Hann taper tiled over channels, and its sum of squares."""
+    taper = _hann(nperseg)[:, None]
+    tiled = np.repeat(taper, n_channels, axis=1)  # one flat multiply per segment
+    tiled.flags.writeable = False  # cached and shared between calls
+    return tiled, float(np.sum(taper[:, 0] ** 2))
 
-    Returns (..., n_channels, n_bins), one-sided density scaling.
+
+CHUNK_WINDOWS = 512  # bounds the segment and spectrum working set
+
+
+@functools.lru_cache(maxsize=32)
+def _segment_plan(
+    run_lengths: tuple[int, ...], win_step: int, hop: int, n_seg: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the distinct Welch segments of a chunk of windows come from.
+
+    The chunk's rows are runs of consecutive windows, win_step samples
+    apart; window w of a run uses the segments that start w*win_step +
+    s*hop samples into the run, for s < n_seg. Segments are shared within
+    a run, never across runs. Returns the row and in-window offset of each
+    distinct segment's first use, in row order, and the (rows, n_seg) index
+    of every window's segments into that list.
     """
-    n_time = x.shape[-2]
+    lengths = np.asarray(run_lengths)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    in_run = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    starts = in_run[:, None] * win_step + np.arange(n_seg) * hop
+    keys = run[:, None] * (int(starts.max()) + 1) + starts
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    rows, seg = np.divmod(first, n_seg)
+    plan = (rows, seg * hop, inverse.reshape(-1, n_seg))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _chunks(runs, limit: int):
+    """Group (lo, hi) row ranges into chunks of at most limit rows."""
+    chunk, size = [], 0
+    for lo, hi in runs:
+        for a in range(lo, hi, limit):
+            b = min(a + limit, hi)
+            if size + b - a > limit:
+                yield chunk
+                chunk, size = [], 0
+            chunk.append((a, b))
+            size += b - a
+    if chunk:
+        yield chunk
+
+
+def _welch(windows: np.ndarray, runs, win_step: int, spec: WelchSpec, fs: float):
+    """Welch PSDs of a (n_windows, n_time, n_channels) stack, chunk by chunk.
+
+    runs are (lo, hi) row ranges of consecutive windows cut win_step
+    samples apart from one signal, so a segment that several windows of a
+    run hold is the same samples in each. Each distinct segment of a run is
+    tapered and transformed once; each window then takes the mean of its
+    own n_seg periodograms, the same reduction as a one-window estimate, so
+    the result is bit-identical to it. Yields (rows, n_channels, n_bins)
+    blocks in row order, one-sided density scaling.
+    """
+    _, n_time, n_channels = windows.shape
     if n_time < spec.nperseg:
         raise WindowTooShort(f"{n_time} samples < nperseg={spec.nperseg}")
-    step = spec.nperseg - spec.noverlap
-    n_seg = 1 + (n_time - spec.nperseg) // step
+    hop = spec.nperseg - spec.noverlap
+    n_seg = 1 + (n_time - spec.nperseg) // hop
+    taper, sum_sq = _taper(spec.nperseg, n_channels)
+    scale = 1.0 / (fs * sum_sq)
+    n_starts = n_time - spec.nperseg + 1
 
-    segs = np.stack(
-        [x[..., i * step : i * step + spec.nperseg, :] for i in range(n_seg)],
-        axis=-3,
-    )  # (..., n_seg, nperseg, ch)
-    taper = _hann(spec.nperseg)[:, None]
-    spectrum = np.fft.rfft(segs * taper, axis=-2)
-    scale = 1.0 / (fs * float(np.sum(taper[:, 0] ** 2)))
-    psd = (spectrum.real**2 + spectrum.imag**2) * scale
-    psd[..., 1:-1, :] *= 2.0  # one-sided: double all bins but DC and Nyquist
-    if spec.nperseg % 2:  # odd nperseg has no Nyquist bin
-        psd[..., -1, :] *= 2.0
-    return psd.mean(axis=-3).swapaxes(-1, -2)
+    for chunk in _chunks(runs, CHUNK_WINDOWS):
+        lo, hi = chunk[0][0], chunk[-1][1]
+        rows, offsets, index = _segment_plan(
+            tuple(b - a for a, b in chunk), win_step, hop, n_seg
+        )
+        block = np.ascontiguousarray(windows[lo:hi], dtype=np.float64)
+        # (window, start, time, channel) view of every segment a window
+        # holds; built on the buffer directly, which costs a streamed
+        # one-window call a few microseconds less than as_strided
+        s_win, s_time, s_ch = block.strides
+        segments = np.ndarray(
+            (hi - lo, n_starts, spec.nperseg, n_channels), block.dtype,
+            buffer=block, strides=(s_win, s_time, s_time, s_ch),
+        )
+        segs = segments[rows, offsets]
+        segs *= taper
+        spectrum = np.fft.rfft(segs, axis=-2)
+        del segs
+        psd = np.square(spectrum.real)
+        psd += np.square(spectrum.imag)
+        del spectrum
+        psd *= scale
+        psd[..., 1:-1, :] *= 2.0  # one-sided: double all bins but DC and Nyquist
+        if spec.nperseg % 2:  # odd nperseg has no Nyquist bin
+            psd[..., -1, :] *= 2.0
+        yield psd[index].mean(axis=1).swapaxes(-1, -2)
 
 
 def welch_psd(window: np.ndarray, spec: WelchSpec, fs: float) -> np.ndarray:
@@ -198,7 +279,8 @@ def welch_psd(window: np.ndarray, spec: WelchSpec, fs: float) -> np.ndarray:
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise WindowTooShort(f"window must be 2-D, got shape {window.shape}")
-    return _welch_stack(window, spec, fs)
+    (psd,) = _welch(window[None], [(0, 1)], 1, spec, fs)  # one window: no step
+    return psd[0]
 
 
 @dataclass(frozen=True)
@@ -233,13 +315,18 @@ def psd_features(
     per_channel=True concatenates the per-channel spectra channel-major
     (13 channels x 129 bins = 1677 features); per_channel=False averages
     across channels down to one 129-bin spectrum per window.
+
+    Windows of one trial overlap, and so do their Welch segments: at the
+    default 32-sample window step and 128-sample segment hop, a 63-window
+    trial holds 71 distinct segments, not 189. Each distinct segment's
+    periodogram is computed once per trial and every window averages its
+    own segments in the same order as welch_psd, so each row equals
+    welch_psd of that window bit for bit.
     """
     spec = spec or WelchSpec()
-    n = ws.n_windows
+    runs = [(sl.start, sl.stop) for _, sl in ws.trial_slices()]
     rows = []
-    chunk = 512  # bound the rfft workspace
-    for lo in range(0, n, chunk):
-        psd = _welch_stack(ws.windows[lo : lo + chunk], spec, ws.fs)
+    for psd in _welch(ws.windows, runs, ws.win_step, spec, ws.fs):
         if per_channel:
             rows.append(psd.reshape(psd.shape[0], -1))
         else:

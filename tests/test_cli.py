@@ -538,6 +538,19 @@ def test_config_int_stands_for_float(cli_env, tmp_path, capsys):
     assert doc["trials"]["threshold"] == 1.0
 
 
+@pytest.mark.parametrize("command", ["grid-search", "repro"])
+def test_config_unknown_objective_exits_1(cli_env, tmp_path, capsys, command):
+    _, study, decoder = cli_env
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"objective": "fancy"}), encoding="utf-8")
+    if command == "repro":
+        argv = ["repro", "--study", str(study)] + REPRO_ARGS
+    else:
+        argv = [command, "--decoder", str(decoder), "--session", str(study / "online1")]
+    rc = main(argv + ["--config", str(cfg_path)])
+    _single_error(capsys, rc, "MalformedMeta")
+
+
 def test_nan_sample_in_session_exits_1(cli_env, tmp_path, capsys):
     _, study, decoder = cli_env
     broken = tmp_path / "session"

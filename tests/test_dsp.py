@@ -10,6 +10,7 @@ from mi_decode.dsp import (
     BandpassSpec,
     PreprocessParams,
     Trial,
+    WindowSet,
     apply_car,
     causal_filter_state,
     design_bandpass,
@@ -404,6 +405,33 @@ def test_trial_slices_partition_windows():
     covered = np.concatenate([np.arange(s.start, s.stop) for _, s in slices])
     assert np.array_equal(covered, np.arange(ws.windows.shape[0]))
     assert all(s.stop - s.start == 63 for _, s in slices)
+
+
+def _loop_trial_slices(trial_index):
+    """Reference: walk the windows and cut where the trial index changes."""
+    out, start = [], 0
+    for i in range(1, len(trial_index) + 1):
+        if i == len(trial_index) or trial_index[i] != trial_index[start]:
+            out.append((int(trial_index[start]), slice(start, i)))
+            start = i
+    return out
+
+
+@pytest.mark.parametrize(
+    "trial_index",
+    [[], [4], [0, 0, 0], [0, 0, 1, 1, 1, 2], [5, 5, 2, 2, 5], "random"],
+)
+def test_trial_slices_match_loop_reference(trial_index):
+    if trial_index == "random":
+        trial_index = np.random.default_rng(4301).integers(0, 3, 200)
+    idx = np.asarray(trial_index, dtype=np.int64)
+    ws = WindowSet(
+        windows=np.zeros((len(idx), 1, 1)), labels=idx, trial_index=idx,
+        run_index=idx, fs=1.0, win_len=1, win_step=1,
+    )
+    got = ws.trial_slices()
+    assert got == _loop_trial_slices(idx)
+    assert all(type(v) is int for t, sl in got for v in (t, sl.start, sl.stop))
 
 
 def test_window_trials_errors():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from mi_decode.dsp import Trial, window_trials
+from mi_decode.dsp import (
+    PreprocessParams,
+    Trial,
+    WindowSet,
+    window_trials,
+    windows_from_recording,
+)
 from mi_decode.errors import (
     BadK,
     DimensionMismatch,
@@ -29,7 +35,8 @@ from mi_decode.features import (
     variance_curve,
     welch_psd,
 )
-from mi_decode.session import ClassLabel
+from mi_decode.session import ClassLabel, SessionKind
+from mi_decode.synth import SynthSpec, generate_session
 
 FS = 512.0
 
@@ -337,7 +344,7 @@ def test_psd_features_per_channel_layout():
     for i in (0, 31, 62):
         direct = welch_psd(ws.windows[i], WelchSpec(), FS)
         for ch in range(3):
-            assert np.allclose(fm.X[i, ch * 129 : (ch + 1) * 129], direct[ch], atol=1e-15)
+            assert np.array_equal(fm.X[i, ch * 129 : (ch + 1) * 129], direct[ch])
 
 
 def test_psd_features_channel_average():
@@ -345,7 +352,7 @@ def test_psd_features_channel_average():
     fm = psd_features(ws, per_channel=False)
     assert fm.X.shape == (63, 129)
     direct = welch_psd(ws.windows[10], WelchSpec(), FS)
-    assert np.allclose(fm.X[10], direct.mean(axis=0), atol=1e-15)
+    assert np.array_equal(fm.X[10], direct.mean(axis=0))
 
 
 def test_psd_features_chunking_is_seamless():
@@ -355,7 +362,114 @@ def test_psd_features_chunking_is_seamless():
     fm = psd_features(ws)
     for i in (0, 511, 512, 520):
         direct = welch_psd(ws.windows[i], WelchSpec(), FS)
-        assert np.allclose(fm.X[i], direct.reshape(-1), atol=1e-15)
+        assert np.array_equal(fm.X[i], direct.reshape(-1))
+
+
+def _per_window_welch(window, spec, fs):
+    """One window's Welch PSD with every segment stacked and transformed on
+    its own: the per-window estimate psd_features must equal bit for bit."""
+    step = spec.nperseg - spec.noverlap
+    n_seg = 1 + (window.shape[0] - spec.nperseg) // step
+    segs = np.stack([window[i * step : i * step + spec.nperseg] for i in range(n_seg)])
+    taper = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(spec.nperseg) / spec.nperseg))[:, None]
+    spectrum = np.fft.rfft(segs * taper, axis=-2)
+    scale = 1.0 / (fs * float(np.sum(taper[:, 0] ** 2)))
+    psd = (spectrum.real**2 + spectrum.imag**2) * scale
+    psd[..., 1:-1, :] *= 2.0
+    if spec.nperseg % 2:
+        psd[..., -1, :] *= 2.0
+    return psd.mean(axis=-3).swapaxes(-1, -2)  # (n_channels, n_bins)
+
+
+def _assert_matches_per_window(ws, spec, per_channel=True):
+    X = psd_features(ws, spec, per_channel=per_channel).X
+    assert X.shape[0] == ws.n_windows
+    for i, window in enumerate(ws.windows):
+        ref = _per_window_welch(window, spec, FS)
+        want = ref.reshape(-1) if per_channel else ref.mean(axis=0)
+        assert np.array_equal(X[i], want), f"window {i}"
+
+
+@pytest.fixture(scope="module")
+def session_windows():
+    # 10 trials of 63 windows: the first 8 share one 512-window chunk and
+    # the last 2 fill the next
+    session = generate_session(
+        SynthSpec(seed=4220, n_runs=1, trials_per_run=10), SessionKind.Offline
+    )
+    return windows_from_recording(session.recording, PreprocessParams())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WelchSpec(),
+        WelchSpec(nperseg=200, noverlap=50),  # hop 150 is no multiple of 32
+        WelchSpec(nperseg=255, noverlap=100),  # odd nperseg, no Nyquist bin
+        WelchSpec(nperseg=64, noverlap=32),  # 15 segments per window
+    ],
+    ids=["default", "hop150", "odd", "15seg"],
+)
+def test_psd_features_bit_identical_on_session(session_windows, spec):
+    assert session_windows.n_windows == 630
+    assert len(session_windows.trial_slices()) == 10
+    _assert_matches_per_window(session_windows, spec)
+
+
+def test_psd_features_bit_identical_channel_average(session_windows):
+    _assert_matches_per_window(session_windows, WelchSpec(), per_channel=False)
+
+
+def test_psd_features_bit_identical_on_one_window():
+    ws = _window_set(n_ch=13)
+    one = WindowSet(
+        windows=ws.windows[7:8], labels=ws.labels[7:8], trial_index=ws.trial_index[7:8],
+        run_index=ws.run_index[7:8], fs=FS, win_len=ws.win_len, win_step=ws.win_step,
+    )
+    for spec in (WelchSpec(), WelchSpec(nperseg=255, noverlap=100)):
+        _assert_matches_per_window(one, spec)
+        _assert_matches_per_window(one, spec, per_channel=False)
+        assert np.array_equal(
+            welch_psd(one.windows[0], spec, FS), _per_window_welch(one.windows[0], spec, FS)
+        )
+
+
+def test_psd_features_never_share_segments_across_trials():
+    # equal lengths put the same in-trial offsets in both trials; only the
+    # samples differ, so a segment keyed by offset alone would be reused
+    rng = np.random.default_rng(4221)
+    trials = [
+        Trial(label=label, run_index=1, samples=rng.standard_normal((1024, 3)),
+              start_sample=0, fs=FS)
+        for label in (ClassLabel.Left, ClassLabel.Right)
+    ]
+    ws = window_trials(trials, 1.0, 0.0625)
+    assert [sl for _, sl in ws.trial_slices()] == [slice(0, 17), slice(17, 34)]
+    _assert_matches_per_window(ws, WelchSpec())
+    _assert_matches_per_window(ws, WelchSpec(nperseg=200, noverlap=50))
+
+
+@pytest.fixture
+def rfft_segments(monkeypatch):
+    """Count the segments features transforms (time axis -2, channels last)."""
+    counts = []
+    rfft = np.fft.rfft
+
+    def spy(a, *args, **kwargs):
+        counts.append(a.size // (a.shape[-2] * a.shape[-1]))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    return counts
+
+
+def test_each_distinct_segment_is_transformed_once(rfft_segments):
+    ws = _window_set(n_ch=3)
+    assert ws.n_windows == 63
+    psd_features(ws)
+    # windows step by 32 samples and segments by 128: 63 + 2*4 distinct
+    # segment starts instead of 63 windows x 3 segments
+    assert sum(rfft_segments) == 71
 
 
 def test_standard_full_size_feature_count():
