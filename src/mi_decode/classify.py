@@ -57,16 +57,22 @@ class LinearClassifier:
         return (self.score(X) > 0).astype(np.int64)
 
 
-def _split_classes(X: np.ndarray, y: np.ndarray):
+def _class_rows(X: np.ndarray, y: np.ndarray):
+    """X as float64, and the row numbers of its Left and Right windows."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"X {X.shape} does not match y {y.shape}")
-    Xl = X[y == ClassLabel.Left.value]
-    Xr = X[y == ClassLabel.Right.value]
-    if len(Xl) == 0 or len(Xr) == 0:
+    left = np.flatnonzero(y == ClassLabel.Left.value)
+    right = np.flatnonzero(y == ClassLabel.Right.value)
+    if len(left) == 0 or len(right) == 0:
         raise SingleClass("training data must contain both classes")
-    return X, Xl, Xr
+    return X, left, right
+
+
+def _split_classes(X: np.ndarray, y: np.ndarray):
+    X, left, right = _class_rows(X, y)
+    return X, X[left], X[right]
 
 
 def lda_fit(X: np.ndarray, y: np.ndarray, sv_cutoff: float = SV_CUTOFF) -> LinearClassifier:
@@ -79,17 +85,24 @@ def lda_fit(X: np.ndarray, y: np.ndarray, sv_cutoff: float = SV_CUTOFF) -> Linea
     scatter is zero everywhere the weights vanish and prediction falls
     back to the prior side.
     """
-    X, Xl, Xr = _split_classes(X, y)
+    X, left, right = _class_rows(X, y)
     n, k = X.shape
     if n <= k:
         warnings.warn(
             f"LDA with {n} rows for {k} features; scatter is rank-deficient",
             stacklevel=2,
         )
-    mu_l = Xl.mean(axis=0)
-    mu_r = Xr.mean(axis=0)
-    centered = np.concatenate([Xl - mu_l, Xr - mu_r])
-    cov = (centered.T @ centered) / max(n - 2, 1)
+    # one copy of the rows, Left block then Right, centered in place on
+    # each block's own mean and freed before the SVD
+    n_l = len(left)
+    centered = X[np.concatenate([left, right])]
+    mu_l = centered[:n_l].mean(axis=0)
+    mu_r = centered[n_l:].mean(axis=0)
+    centered[:n_l] -= mu_l
+    centered[n_l:] -= mu_r
+    cov = centered.T @ centered
+    del centered
+    cov /= max(n - 2, 1)
 
     u, s, vt = np.linalg.svd(cov, hermitian=True)
     keep = s >= sv_cutoff * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
@@ -97,7 +110,7 @@ def lda_fit(X: np.ndarray, y: np.ndarray, sv_cutoff: float = SV_CUTOFF) -> Linea
     inv[keep] = 1.0 / s[keep]
     w = (vt.T * inv) @ (u.T @ (mu_r - mu_l))
 
-    priors = np.array([len(Xl) / n, len(Xr) / n])
+    priors = np.array([n_l / n, len(right) / n])
     bias = float(-w @ (mu_l + mu_r) / 2.0 + np.log(priors[1] / priors[0]))
     return LinearClassifier(
         kind="lda",

@@ -5,7 +5,10 @@ prototype (prewarped band edges, lowpass-to-bandpass transform, bilinear
 map), organized as second-order sections. Offline filtering is zero-phase
 forward-backward with a fixed reflect-pad rule; the streaming path is a
 causal forward-only cascade whose chunked output is bit-identical to the
-one-shot forward pass.
+one-shot forward pass. Windowing copies no window: a WindowSet holds the
+trials' samples once as one signal, and window i is
+signal[starts[i] : starts[i] + win_len]; its windows property builds the
+stacked copy only on request.
 """
 
 from __future__ import annotations
@@ -292,16 +295,17 @@ def extract_trials(rec: Recording) -> list[Trial]:
 class WindowSet:
     """Sliding windows cut from trials, with per-window provenance.
 
-    windows is (n_windows, win_len, n_channels); labels, trial_index and
-    run_index are parallel length-n_windows arrays.
-
-    Within one trial (one row range of trial_slices) the windows are
-    consecutive and win_step samples apart, as window_trials cuts them:
-    row i + 1 starts win_step samples after row i. psd_features relies on
-    this to compute each Welch segment that overlapping windows share once.
+    The preprocessed samples are held once, not per window: window i is
+    signal[starts[i] : starts[i] + win_len], a (win_len, n_channels) slice
+    of the (n_samples, n_channels) float64 signal. Windows may overlap and
+    starts may come in any order. labels, trial_index and run_index are
+    parallel length-n_windows arrays. The windows property builds the
+    (n_windows, win_len, n_channels) stack as a copy on request; features
+    read the signal directly.
     """
 
-    windows: np.ndarray
+    signal: np.ndarray  # (n_samples, n_channels) float64, C order
+    starts: np.ndarray  # (n_windows,) int, first sample of each window
     labels: np.ndarray  # int, ClassLabel values
     trial_index: np.ndarray
     run_index: np.ndarray
@@ -310,24 +314,56 @@ class WindowSet:
     win_step: int
     _flat: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self):
+        signal = np.ascontiguousarray(self.signal, dtype=np.float64)
+        starts = np.asarray(self.starts, dtype=np.int64).reshape(-1)
+        if signal.ndim != 2:
+            raise ValueError(f"signal must be 2-D, got shape {signal.shape}")
+        if len(starts):
+            first, last = _start_range(starts)
+            if first < 0 or last + self.win_len > signal.shape[0]:
+                raise ValueError(
+                    f"window starts must lie in [0, {signal.shape[0] - self.win_len}]"
+                )
+        object.__setattr__(self, "signal", signal)
+        object.__setattr__(self, "starts", starts)
+
     @property
     def n_windows(self) -> int:
-        return self.windows.shape[0]
+        return self.starts.shape[0]
 
     @property
     def n_channels(self) -> int:
-        return self.windows.shape[2]
+        return self.signal.shape[1]
+
+    @property
+    def windows(self) -> np.ndarray:
+        """(n_windows, win_len, n_channels) stack of the windows, built as a
+        new copy on every access."""
+        return self.signal[self.starts[:, None] + np.arange(self.win_len)]
 
     def flattened(self) -> np.ndarray:
         """Windows as rows of channel-major blocks: [c0 t0..tW, c1 t0..tW, ...].
 
         A 512-sample, 13-channel window flattens to 6656 features. Cached.
+        The signal span the windows cover is transposed to channel-major
+        once, so each row is gathered as n_channels contiguous runs.
         """
+        n, w = self.n_windows, self.win_len
+        if n == 0:
+            return np.empty((0, self.n_channels * w))
         if "X" not in self._flat:
-            n, w, c = self.windows.shape
-            self._flat["X"] = np.ascontiguousarray(
-                self.windows.transpose(0, 2, 1).reshape(n, c * w)
-            )
+            lo, last = _start_range(self.starts)
+            by_channel = np.ascontiguousarray(self.signal[lo : last + w].T)
+            if n == 1:  # a streamed window: the transposed span is its row
+                self._flat["X"] = by_channel.reshape(1, -1)
+            else:
+                s_c, s_t = by_channel.strides
+                rows = np.ndarray(
+                    (last - lo + 1, self.n_channels, w), by_channel.dtype,
+                    buffer=by_channel, strides=(s_t, s_c, s_t),
+                )
+                self._flat["X"] = rows[self.starts - lo].reshape(n, -1)
         return self._flat["X"]
 
     def trial_slices(self) -> list[tuple[int, slice]]:
@@ -337,6 +373,16 @@ class WindowSet:
             return []
         bounds = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
         return [(int(idx[a]), slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def _start_range(starts: np.ndarray) -> tuple[int, int]:
+    """Smallest and largest of a non-empty array of window starts.
+
+    Python's min and max: two numpy reductions cost the one-window sets
+    that stream_replay builds for every window about 5 microseconds.
+    """
+    values = starts.tolist()
+    return min(values), max(values)
 
 
 def _samples_per(value_s: float, fs: float, what: str) -> int:
@@ -361,21 +407,23 @@ def window_trials(
     win = _samples_per(win_len_s, fs, "window length")
     step = _samples_per(step_s, fs, "window step")
 
-    chunks, labels, t_idx, r_idx = [], [], [], []
+    starts, labels, t_idx, r_idx = [], [], [], []
+    offset = 0
     for t, trial in enumerate(trials):
         if trial.n_samples < win:
             raise TrialTooShort(
                 f"trial {t} has {trial.n_samples} samples, window needs {win}"
             )
         count = 1 + (trial.n_samples - win) // step
-        for w in range(count):
-            chunks.append(trial.samples[w * step : w * step + win])
+        starts.append(offset + step * np.arange(count))
+        offset += trial.n_samples
         labels.extend([trial.label.value] * count)
         t_idx.extend([t] * count)
         r_idx.extend([trial.run_index] * count)
 
     return WindowSet(
-        windows=np.stack(chunks),
+        signal=np.concatenate([trial.samples for trial in trials]),
+        starts=np.concatenate(starts),
         labels=np.array(labels, dtype=np.int64),
         trial_index=np.array(t_idx, dtype=np.int64),
         run_index=np.array(r_idx, dtype=np.int64),

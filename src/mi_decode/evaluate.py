@@ -313,7 +313,7 @@ def train_decoder(
         fm = raw_feature_matrix(ws, config)
         raws.append(fm.X)
         labels.append(fm.labels)
-    X = np.vstack(raws)
+    X = raws[0] if len(raws) == 1 else np.vstack(raws)
     y = np.concatenate(labels)
     pipe = fit_pipeline(X, config)
     clf = fit_classifier(clf_kind, pipe.transform_raw(X), y)

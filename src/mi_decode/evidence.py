@@ -406,11 +406,15 @@ def stream_replay(
         pos = end
         if params.car:
             block = block - block.mean(axis=1, keepdims=True)
+        # the filter output is not C-ordered; convert it once per trial so
+        # that no window copies the whole block
+        block = np.ascontiguousarray(block)
 
         n_windows = 1 + (block.shape[0] - win) // step
         votes = (  # lazy: a window is scored only when the walk asks for its vote
             int(decoder.predict_windows(WindowSet(
-                windows=block[w * step : w * step + win][None],
+                signal=block,
+                starts=np.array([w * step]),
                 labels=np.array([trial.label.value]),
                 trial_index=np.array([t]),
                 run_index=np.array([trial.run_index]),

@@ -7,11 +7,11 @@ full SVD of the centered data when squaring would lose the trailing
 components; a fixed sign convention makes refits bit-identical.
 The Welch estimator uses Hann-tapered, 50%-overlapping modified
 periodograms with one-sided density scaling; nperseg=256 at fs=512 gives
-the 129 bins the rest of the pipeline expects. Overlapping windows of a
-trial share segments, so psd_features computes each distinct segment's
-periodogram once per trial and averages every window's own segments in
-the same order as welch_psd; each feature row equals welch_psd of its
-window bit for bit.
+the 129 bins the rest of the pipeline expects. Overlapping windows share
+segments: psd_features cuts every segment straight from the window set's
+signal, computes the periodogram of each distinct segment start once and
+averages every window's own segments in the same order as welch_psd;
+each feature row equals welch_psd of its window bit for bit.
 """
 
 from __future__ import annotations
@@ -183,80 +183,60 @@ CHUNK_WINDOWS = 512  # bounds the segment and spectrum working set
 
 @functools.lru_cache(maxsize=32)
 def _segment_plan(
-    run_lengths: tuple[int, ...], win_step: int, hop: int, n_seg: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the distinct Welch segments of a chunk of windows come from.
+    rel_starts: bytes, hop: int, n_seg: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which distinct Welch segments a chunk of windows holds.
 
-    The chunk's rows are runs of consecutive windows, win_step samples
-    apart; window w of a run uses the segments that start w*win_step +
-    s*hop samples into the run, for s < n_seg. Segments are shared within
-    a run, never across runs. Returns the row and in-window offset of each
-    distinct segment's first use, in row order, and the (rows, n_seg) index
-    of every window's segments into that list.
+    rel_starts is the chunk's int64 window starts, taken relative to its
+    first window's start; window w uses the segments that start
+    rel_starts[w] + s*hop, for s < n_seg. Returns the sorted distinct
+    segment starts (relative, like rel_starts) and the (windows, n_seg)
+    index of every window's segments into them. Cached because a streamed
+    window asks for the same one-window plan every time.
     """
-    lengths = np.asarray(run_lengths)
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    in_run = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    starts = in_run[:, None] * win_step + np.arange(n_seg) * hop
-    keys = run[:, None] * (int(starts.max()) + 1) + starts
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    rows, seg = np.divmod(first, n_seg)
-    plan = (rows, seg * hop, inverse.reshape(-1, n_seg))
+    rel = np.frombuffer(rel_starts, dtype=np.int64)
+    seg_starts = rel[:, None] + hop * np.arange(n_seg)
+    offsets, inverse = np.unique(seg_starts.ravel(), return_inverse=True)
+    plan = (offsets, inverse.reshape(-1, n_seg))
     for a in plan:
         a.flags.writeable = False
     return plan
 
 
-def _chunks(runs, limit: int):
-    """Group (lo, hi) row ranges into chunks of at most limit rows."""
-    chunk, size = [], 0
-    for lo, hi in runs:
-        for a in range(lo, hi, limit):
-            b = min(a + limit, hi)
-            if size + b - a > limit:
-                yield chunk
-                chunk, size = [], 0
-            chunk.append((a, b))
-            size += b - a
-    if chunk:
-        yield chunk
+def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec,
+           fs: float):
+    """Welch PSDs of the windows signal[starts[i] : starts[i] + win_len].
 
-
-def _welch(windows: np.ndarray, runs, win_step: int, spec: WelchSpec, fs: float):
-    """Welch PSDs of a (n_windows, n_time, n_channels) stack, chunk by chunk.
-
-    runs are (lo, hi) row ranges of consecutive windows cut win_step
-    samples apart from one signal, so a segment that several windows of a
-    run hold is the same samples in each. Each distinct segment of a run is
-    tapered and transformed once; each window then takes the mean of its
-    own n_seg periodograms, the same reduction as a one-window estimate, so
-    the result is bit-identical to it. Yields (rows, n_channels, n_bins)
-    blocks in row order, one-sided density scaling.
+    signal is a C-ordered (n_samples, n_channels) float64 array. Segments
+    are cut straight from it, and two windows share a segment exactly when
+    it starts at the same sample of the signal, so it is the same samples
+    for both, whatever the starts. Each distinct segment of a chunk of
+    CHUNK_WINDOWS windows is tapered and transformed once; each window then
+    takes the mean of its own n_seg periodograms, the same reduction as a
+    one-window estimate, so the result is bit-identical to it. Yields
+    (windows, n_channels, n_bins) blocks in row order, one-sided density
+    scaling.
     """
-    _, n_time, n_channels = windows.shape
-    if n_time < spec.nperseg:
-        raise WindowTooShort(f"{n_time} samples < nperseg={spec.nperseg}")
+    if win_len < spec.nperseg:
+        raise WindowTooShort(f"{win_len} samples < nperseg={spec.nperseg}")
+    n_samples, n_channels = signal.shape
     hop = spec.nperseg - spec.noverlap
-    n_seg = 1 + (n_time - spec.nperseg) // hop
+    n_seg = 1 + (win_len - spec.nperseg) // hop
     taper, sum_sq = _taper(spec.nperseg, n_channels)
     scale = 1.0 / (fs * sum_sq)
-    n_starts = n_time - spec.nperseg + 1
+    # (start, time, channel) view of every segment the signal holds; built
+    # on the buffer directly, which costs a streamed one-window call a few
+    # microseconds less than as_strided
+    s_time, s_ch = signal.strides
+    segments = np.ndarray(
+        (n_samples - spec.nperseg + 1, spec.nperseg, n_channels), signal.dtype,
+        buffer=signal, strides=(s_time, s_time, s_ch),
+    )
 
-    for chunk in _chunks(runs, CHUNK_WINDOWS):
-        lo, hi = chunk[0][0], chunk[-1][1]
-        rows, offsets, index = _segment_plan(
-            tuple(b - a for a, b in chunk), win_step, hop, n_seg
-        )
-        block = np.ascontiguousarray(windows[lo:hi], dtype=np.float64)
-        # (window, start, time, channel) view of every segment a window
-        # holds; built on the buffer directly, which costs a streamed
-        # one-window call a few microseconds less than as_strided
-        s_win, s_time, s_ch = block.strides
-        segments = np.ndarray(
-            (hi - lo, n_starts, spec.nperseg, n_channels), block.dtype,
-            buffer=block, strides=(s_win, s_time, s_time, s_ch),
-        )
-        segs = segments[rows, offsets]
+    for lo in range(0, len(starts), CHUNK_WINDOWS):
+        st = starts[lo : lo + CHUNK_WINDOWS]
+        offsets, index = _segment_plan((st - st[0]).tobytes(), hop, n_seg)
+        segs = segments[st[0] + offsets]
         segs *= taper
         spectrum = np.fft.rfft(segs, axis=-2)
         del segs
@@ -276,10 +256,10 @@ def welch_psd(window: np.ndarray, spec: WelchSpec, fs: float) -> np.ndarray:
     With win_len=512, nperseg=256 and noverlap=128 this averages 3 tapered
     segments per channel into 129 bins of width fs/256.
     """
-    window = np.asarray(window, dtype=np.float64)
+    window = np.ascontiguousarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise WindowTooShort(f"window must be 2-D, got shape {window.shape}")
-    (psd,) = _welch(window[None], [(0, 1)], 1, spec, fs)  # one window: no step
+    (psd,) = _welch(window, np.zeros(1, dtype=np.int64), window.shape[0], spec, fs)
     return psd[0]
 
 
@@ -318,15 +298,15 @@ def psd_features(
 
     Windows of one trial overlap, and so do their Welch segments: at the
     default 32-sample window step and 128-sample segment hop, a 63-window
-    trial holds 71 distinct segments, not 189. Each distinct segment's
-    periodogram is computed once per trial and every window averages its
-    own segments in the same order as welch_psd, so each row equals
-    welch_psd of that window bit for bit.
+    trial holds 71 distinct segments, not 189. Segments are cut from
+    ws.signal and deduplicated by their absolute start in it, so each
+    distinct segment's periodogram is computed once per chunk of windows,
+    and every window averages its own segments in the same order as
+    welch_psd, so each row equals welch_psd of that window bit for bit.
     """
     spec = spec or WelchSpec()
-    runs = [(sl.start, sl.stop) for _, sl in ws.trial_slices()]
     rows = []
-    for psd in _welch(ws.windows, runs, ws.win_step, spec, ws.fs):
+    for psd in _welch(ws.signal, ws.starts, ws.win_len, spec, ws.fs):
         if per_channel:
             rows.append(psd.reshape(psd.shape[0], -1))
         else:

@@ -1,5 +1,7 @@
 """Linear discriminant and centroid classifiers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,67 @@ def test_lda_direction_matches_closed_form():
         cos = w_ref @ clf.weights / (np.linalg.norm(w_ref) * np.linalg.norm(clf.weights))
         assert cos > 1.0 - 1e-6
         assert np.allclose(clf.weights, w_ref, rtol=1e-8, atol=1e-10)
+
+
+def _lda_split_reference(X, y, sv_cutoff=1e-12):
+    """lda_fit as it was written with one copy per class: split, center,
+    concatenate, then the SVD of the pooled covariance. Also returns the
+    covariance's singular values."""
+    Xl, Xr = X[y == L], X[y == R]
+    n = X.shape[0]
+    mu_l, mu_r = Xl.mean(axis=0), Xr.mean(axis=0)
+    centered = np.concatenate([Xl - mu_l, Xr - mu_r])
+    cov = (centered.T @ centered) / max(n - 2, 1)
+    u, s, vt = np.linalg.svd(cov, hermitian=True)
+    keep = s >= sv_cutoff * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    w = (vt.T * inv) @ (u.T @ (mu_r - mu_l))
+    priors = np.array([len(Xl) / n, len(Xr) / n])
+    bias = float(-w @ (mu_l + mu_r) / 2.0 + np.log(priors[1] / priors[0]))
+    return w, bias, np.stack([mu_l, mu_r]), priors, s
+
+
+@pytest.mark.parametrize("case", ["clouds", "imbalanced", "interleaved", "ill-conditioned"])
+def test_lda_bit_identical_to_split_reference(case):
+    rng = np.random.default_rng(4310)
+    if case == "clouds":
+        X, y = _clouds(rng, n_per=60, d=5)
+    elif case == "imbalanced":
+        X, y = _clouds(rng, n_per=150, d=7)
+        keep = np.r_[np.arange(150), np.arange(150, 300)[:23]]
+        X, y = X[keep], y[keep]
+    elif case == "interleaved":
+        X, y = _clouds(rng, n_per=80, d=6)
+        order = rng.permutation(len(y))
+        X, y = X[order], y[order]
+    else:
+        # 30 features spanned by 8 directions plus 1e-9 noise: most
+        # covariance eigenvalues fall below the 1e-12 relative cutoff
+        X, y = _clouds(rng, n_per=100, d=8)
+        X = X @ rng.standard_normal((8, 30)) + 1e-9 * rng.standard_normal((200, 30))
+    clf = lda_fit(X, y)
+    w, bias, class_means, priors, s = _lda_split_reference(X, y)
+    if case == "ill-conditioned":
+        assert np.sum(s < 1e-12 * s[0]) >= 10
+    assert np.array_equal(clf.weights, w)
+    assert clf.bias == bias
+    assert np.array_equal(clf.class_means, class_means)
+    assert np.array_equal(clf.priors, priors)
+
+
+def test_lda_fit_keeps_one_copy_of_the_rows():
+    X, y = _clouds(np.random.default_rng(4311), n_per=1000, d=400)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        lda_fit(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one centered copy plus the 400 x 400 scatter: about 1.2 x X.nbytes;
+    # a copy per class on top of the centered rows reads about 3 x
+    assert peak <= 1.6 * X.nbytes
 
 
 def test_lda_separates_tight_clouds():

@@ -32,6 +32,7 @@ from mi_decode.errors import (
     TooFewChannels,
     TrialTooShort,
 )
+from mi_decode.features import psd_features
 from mi_decode.session import ClassLabel, EventKind, Recording
 
 from conftest import marker, noise_recording, trial_events
@@ -397,6 +398,58 @@ def test_flattened_is_channel_major():
             assert np.array_equal(flat[i, ch * w : (ch + 1) * w], ws.windows[i, :, ch])
 
 
+def _stacked_reference(trials, win, step):
+    """The window stack as the trials were once cut: one copy per window."""
+    return np.stack([
+        t.samples[w * step : w * step + win]
+        for t in trials
+        for w in range(1 + (t.n_samples - win) // step)
+    ])
+
+
+def test_windows_and_flattened_match_stacked_reference():
+    trials = [
+        _make_trial(n, fs=64.0, n_ch=3, seed=s, run=s)
+        for s, n in enumerate((96, 40, 113))
+    ]
+    ws = window_trials(trials, 0.5, 0.125)
+    ref = _stacked_reference(trials, 32, 8)
+    assert ws.n_windows == len(ref) == 9 + 2 + 11
+    assert np.array_equal(ws.windows, ref)
+    n, w, c = ref.shape
+    assert np.array_equal(ws.flattened(), ref.transpose(0, 2, 1).reshape(n, c * w))
+    assert ws.n_channels == 3
+
+
+def test_window_set_holds_each_sample_once():
+    trials = [_make_trial(2496, seed=s) for s in range(3)]
+    ws = window_trials(trials, 1.0, 0.0625)
+    assert ws.n_windows == 189
+    assert ws.signal.nbytes == sum(t.samples.nbytes for t in trials)
+    assert ws.signal.flags.c_contiguous and ws.signal.dtype == np.float64
+    assert np.array_equal(ws.starts[:3], [0, 32, 64])
+    assert ws.starts[63] == 2496  # the second trial starts where the first ends
+
+
+def test_features_never_build_the_window_stack(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the window stack was built")
+
+    ws = window_trials([_make_trial(2496, seed=s) for s in range(2)], 1.0, 0.0625)
+    monkeypatch.setattr(WindowSet, "windows", property(refuse))
+    assert psd_features(ws).X.shape == (126, 4 * 129)
+    assert ws.flattened().shape == (126, 4 * 512)
+
+
+def test_window_set_rejects_starts_outside_the_signal():
+    kw = dict(labels=np.zeros(1), trial_index=np.zeros(1), run_index=np.zeros(1),
+              fs=1.0, win_len=4, win_step=1)
+    WindowSet(signal=np.zeros((10, 2)), starts=[6], **kw)
+    for start in (-1, 7):
+        with pytest.raises(ValueError):
+            WindowSet(signal=np.zeros((10, 2)), starts=[start], **kw)
+
+
 def test_trial_slices_partition_windows():
     trials = [_make_trial(2496, seed=s) for s in range(3)]
     ws = window_trials(trials, 1.0, 0.0625)
@@ -426,8 +479,8 @@ def test_trial_slices_match_loop_reference(trial_index):
         trial_index = np.random.default_rng(4301).integers(0, 3, 200)
     idx = np.asarray(trial_index, dtype=np.int64)
     ws = WindowSet(
-        windows=np.zeros((len(idx), 1, 1)), labels=idx, trial_index=idx,
-        run_index=idx, fs=1.0, win_len=1, win_step=1,
+        signal=np.zeros((len(idx), 1)), starts=np.arange(len(idx)), labels=idx,
+        trial_index=idx, run_index=idx, fs=1.0, win_len=1, win_step=1,
     )
     got = ws.trial_slices()
     assert got == _loop_trial_slices(idx)

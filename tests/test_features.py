@@ -423,8 +423,9 @@ def test_psd_features_bit_identical_channel_average(session_windows):
 def test_psd_features_bit_identical_on_one_window():
     ws = _window_set(n_ch=13)
     one = WindowSet(
-        windows=ws.windows[7:8], labels=ws.labels[7:8], trial_index=ws.trial_index[7:8],
-        run_index=ws.run_index[7:8], fs=FS, win_len=ws.win_len, win_step=ws.win_step,
+        signal=ws.signal, starts=ws.starts[7:8], labels=ws.labels[7:8],
+        trial_index=ws.trial_index[7:8], run_index=ws.run_index[7:8], fs=FS,
+        win_len=ws.win_len, win_step=ws.win_step,
     )
     for spec in (WelchSpec(), WelchSpec(nperseg=255, noverlap=100)):
         _assert_matches_per_window(one, spec)
@@ -447,6 +448,54 @@ def test_psd_features_never_share_segments_across_trials():
     assert [sl for _, sl in ws.trial_slices()] == [slice(0, 17), slice(17, 34)]
     _assert_matches_per_window(ws, WelchSpec())
     _assert_matches_per_window(ws, WelchSpec(nperseg=200, noverlap=50))
+
+
+def _starts_window_set(signal, starts):
+    n = len(starts)
+    return WindowSet(
+        signal=signal, starts=np.asarray(starts), labels=np.zeros(n, dtype=np.int64),
+        trial_index=np.zeros(n, dtype=np.int64), run_index=np.zeros(n, dtype=np.int64),
+        fs=FS, win_len=512, win_step=32,
+    )
+
+
+def _two_trial_signal():
+    rng = np.random.default_rng(4222)
+    trials = [
+        Trial(label=label, run_index=1, samples=rng.standard_normal((1024, 3)),
+              start_sample=0, fs=FS)
+        for label in (ClassLabel.Left, ClassLabel.Right)
+    ]
+    return window_trials(trials, 1.0, 0.0625).signal
+
+
+@pytest.mark.parametrize(
+    "starts",
+    [
+        [0, 5, 37, 200, 201, 333, 1000, 1536],  # irregularly spaced
+        [64, 64, 0, 64, 320, 0, 1536, 1536],  # repeated, out of order
+        [3, 131, 259, 77, 1001],  # no multiple of any hop
+        # windows that straddle the trial boundary at sample 1024 share
+        # segments by absolute start with in-trial windows on either side
+        [400, 512, 600, 768, 800, 1024, 1056, 1280],
+    ],
+    ids=["irregular", "repeated", "off-hop", "cross-trial"],
+)
+@pytest.mark.parametrize(
+    "spec",
+    [WelchSpec(), WelchSpec(nperseg=200, noverlap=50), WelchSpec(nperseg=255, noverlap=100),
+     WelchSpec(nperseg=64, noverlap=32)],
+    ids=["default", "hop150", "odd", "15seg"],
+)
+def test_psd_features_bit_identical_for_any_starts(starts, spec):
+    ws = _starts_window_set(_two_trial_signal(), starts)
+    _assert_matches_per_window(ws, spec)
+    _assert_matches_per_window(ws, spec, per_channel=False)
+
+
+def test_psd_features_bit_identical_for_random_starts_across_chunks():
+    starts = np.random.default_rng(4223).integers(0, 2048 - 512 + 1, 530)
+    _assert_matches_per_window(_starts_window_set(_two_trial_signal(), starts), WelchSpec())
 
 
 @pytest.fixture
