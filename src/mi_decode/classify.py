@@ -8,6 +8,17 @@ model ships as the sanity baseline.
 
 Every model scores x as ``weights . x + bias`` and predicts Right exactly
 when the score is strictly positive; a score of 0 ties to Left.
+
+A model fitted on PCA projections ``z = (x - mean) @ components.T`` is
+linear in the raw row x too, so ``LinearClassifier.fold`` turns it into one
+raw-row score ``x . w_eff + b_eff`` with ``w_eff = components.T @ weights``
+and ``b_eff = bias - mean . w_eff``: one d-term dot per row instead of a
+(d x k) projection. The folded score rounds differently from the two-step
+one, so ``FoldedScore.scores`` also says, row by row, whether its sign is
+certain to be the sign of the two-step score: it is when |score| exceeds a
+bound on the rounding error of both paths, built from Higham's gamma_n
+dot-product bound (*Accuracy and Stability of Numerical Algorithms*, 2nd
+ed., 2002, §3.1). The decoder rescores every other row on the two-step path.
 """
 
 from __future__ import annotations
@@ -29,6 +40,41 @@ from .errors import (
 from .session import ClassLabel
 
 SV_CUTOFF = 1e-12  # relative singular-value cutoff for the scatter pseudo-inverse
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): an n-term dot product, summed in
+    any order, is off by at most gamma_n |x| . |y| (barring underflow)."""
+    nu = n * UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+@dataclass(frozen=True)
+class FoldedScore:
+    """A classifier on PCA projections, folded into one score on raw rows.
+
+    ``bound(x) = slope * ||x||_2 + offset`` covers |folded - exact| +
+    |two-step - exact| for every raw row x, so a folded score beyond it has
+    the sign that the two-step path gets in any summation order.
+    """
+
+    weights: np.ndarray  # (d,) w_eff = components.T @ w
+    bias: float  # b_eff = b - mean . w_eff
+    slope: float
+    offset: float
+
+    def scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Folded scores of the rows of X, and whether each sign is certified."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[-1] != self.weights.shape[0]:
+            raise DimensionMismatch(
+                f"X has {X.shape[-1]} columns, model expects {self.weights.shape[0]}"
+            )
+        s = X @ self.weights + self.bias
+        # one d-term dot per row: the row norms without an n x d temporary
+        norms = np.sqrt((X[:, None, :] @ X[:, :, None]).reshape(-1))
+        return s, np.abs(s) > self.slope * norms + self.offset
 
 
 @dataclass(frozen=True)
@@ -55,6 +101,43 @@ class LinearClassifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Labels as ClassLabel values (0=Left, 1=Right)."""
         return (self.score(X) > 0).astype(np.int64)
+
+    def fold(self, mean: np.ndarray, components: np.ndarray) -> FoldedScore:
+        """This model on ``(x - mean) @ components.T``, as one raw-row score.
+
+        With a = |components|.T @ |w| and k, d the shape of components, the
+        two-step path (x - mean, the k-term projection, the k-term score
+        plus bias) is off the exact score by at most
+        (gamma_{d+1} + gamma_{k+1} (1 + gamma_{d+1})) |x - mean| . a
+        + gamma_{k+1} |b|. The folded path (w_eff from k-term dots, b_eff
+        from a (d+1)-term sum, the score from another) is off by at most
+        gamma_k |x - mean| . a
+        + gamma_{d+1} (|x| . |w_eff| + |mean| . |w_eff| + |b_eff| + |b|).
+        Cauchy-Schwarz bounds |x - mean| . a by ||x|| ||a|| + |mean| . a and
+        |x| . |w_eff| by ||x|| ||w_eff||, so the sum is linear in ||x||.
+        Each quantity in the bound is itself computed with a relative error
+        far below 1e-9, which doubling the bound covers.
+        """
+        k, d = components.shape
+        if k != self.n_features:
+            raise DimensionMismatch(
+                f"components have {k} rows, model expects {self.n_features}"
+            )
+        w_eff = self.weights @ components
+        b_eff = float(self.bias - mean @ w_eff)
+        a = np.abs(self.weights) @ np.abs(components)
+        abs_mean = np.abs(mean)
+        g_d, g_k = _gamma(d + 1), _gamma(k + 1)
+        c_a = _gamma(k) + g_d + g_k * (1.0 + g_d)
+        slope = c_a * np.linalg.norm(a) + g_d * np.linalg.norm(w_eff)
+        offset = (
+            c_a * float(abs_mean @ a)
+            + g_d * (float(abs_mean @ np.abs(w_eff)) + abs(b_eff))
+            + (g_d + g_k) * abs(self.bias)
+        )
+        return FoldedScore(
+            weights=w_eff, bias=b_eff, slope=2.0 * slope, offset=2.0 * offset
+        )
 
 
 def _class_rows(X: np.ndarray, y: np.ndarray):

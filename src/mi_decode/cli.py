@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from .classify import FIT_FUNCTIONS
 from .dsp import PreprocessParams
 from .errors import DecodeError, MalformedMeta, MissingFile, MissingSession
 from .evaluate import (
@@ -164,7 +165,7 @@ def _pipeline_from(cfg: dict) -> tuple[PreprocessParams, FeatureConfig, str]:
             per_channel=bool(cfg["per_channel"]),
         )
         kind = str(cfg["classifier"])
-        if kind not in ("lda", "centroid"):
+        if kind not in FIT_FUNCTIONS:
             raise ValueError(f"unknown classifier {kind!r}")
     except (TypeError, ValueError) as exc:
         raise MalformedMeta(f"bad pipeline settings: {exc}") from exc
@@ -476,7 +477,7 @@ def _add_pipeline_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noverlap", dest="noverlap", type=int)
     p.add_argument("--per-channel", dest="per_channel",
                    action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--classifier", dest="classifier", choices=("lda", "centroid"))
+    p.add_argument("--classifier", dest="classifier", choices=tuple(FIT_FUNCTIONS))
     p.add_argument("--fs", dest="fs", type=float)
 
 

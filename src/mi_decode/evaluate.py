@@ -9,6 +9,7 @@ accuracy. Any PCA is refit inside each fold on the training runs only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -18,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classify import (
+    FoldedScore,
     LinearClassifier,
     fit_classifier,
     load_classifier,
@@ -145,11 +147,34 @@ class Decoder:
     def windows(self, rec: Recording, causal: bool = False) -> WindowSet:
         return windows_from_recording(rec, self.params, causal=causal)
 
+    @functools.cached_property
+    def _folded(self) -> FoldedScore | None:
+        """PCA and classifier as one raw-row score; derived, never saved."""
+        pca = self.pipeline.pca
+        return None if pca is None else self.clf.fold(pca.mean, pca.components)
+
     def score_windows(self, ws: WindowSet) -> np.ndarray:
+        """Two-step scores: the PCA projection, then the classifier."""
         return self.clf.score(self.pipeline.transform(ws))
 
     def predict_windows(self, ws: WindowSet) -> np.ndarray:
-        return self.clf.predict(self.pipeline.transform(ws))
+        """Labels (0=Left, 1=Right) equal to ``clf.predict(pipeline.transform(ws))``.
+
+        With a PCA stage, each raw feature row x is scored once, as
+        ``x . w_eff + b_eff`` (see ``LinearClassifier.fold``). A row keeps
+        that sign when |score| exceeds the rounding bound of both paths,
+        which makes it the two-step sign in any summation order. Any other
+        row is rescored alone on the two-step path, so a window gets the
+        same bits in a batch as when it is streamed by itself.
+        """
+        X = raw_feature_matrix(ws, self.pipeline.config).X
+        if self._folded is None:
+            return self.clf.predict(X)
+        s, certified = self._folded.scores(X)
+        pred = (s > 0).astype(np.int64)
+        for i in np.flatnonzero(~certified):
+            pred[i] = self.clf.predict(self.pipeline.transform_raw(X[i : i + 1]))[0]
+        return pred
 
 
 @dataclass(frozen=True)

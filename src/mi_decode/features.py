@@ -126,26 +126,6 @@ def pca_transform(t: PcaTransform, X: np.ndarray) -> np.ndarray:
     return (X - t.mean) @ t.components.T
 
 
-def pca_inverse_transform(t: PcaTransform, Z: np.ndarray) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.shape[-1] != t.k:
-        raise DimensionMismatch(f"Z has {Z.shape[-1]} columns, transform has k={t.k}")
-    return Z @ t.components + t.mean
-
-
-def variance_curve(X: np.ndarray) -> list[tuple[int, float]]:
-    """Cumulative explained-variance ratio for every component count."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise BadK(f"need a 2-D matrix with >= 2 rows, got shape {X.shape}")
-    s = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
-    total = float(np.sum(s**2))
-    if total == 0:
-        return [(i + 1, 0.0) for i in range(len(s))]
-    cum = np.cumsum(s**2) / total
-    return [(i + 1, float(c)) for i, c in enumerate(cum)]
-
-
 @dataclass(frozen=True)
 class WelchSpec:
     nperseg: int = 256

@@ -42,6 +42,17 @@ def small_decoder(small_offline):
     return train_decoder([small_offline], SMALL_FEATURES)
 
 
+@pytest.fixture(scope="session")
+def small_pca_decoder(small_offline):
+    """Time-domain PCA at a small k: 6656 raw features folded into one score."""
+    return train_decoder([small_offline], FeatureConfig(mode="pca", k=8))
+
+
+def pca_inverse_transform(t, Z):
+    """Test oracle: k-component projections mapped back to raw rows."""
+    return np.asarray(Z, dtype=np.float64) @ t.components + t.mean
+
+
 def marker(sample_index: int, kind: EventKind, run_index: int = 0) -> EventMarker:
     return EventMarker(sample_index=sample_index, kind=kind, run_index=run_index)
 

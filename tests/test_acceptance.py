@@ -44,12 +44,13 @@ from mi_decode.features import (
     FeatureMatrix,
     WelchSpec,
     pca_fit,
-    pca_inverse_transform,
     pca_transform,
     welch_psd,
 )
 from mi_decode.session import ClassLabel, Recording, SessionKind
 from mi_decode.synth import SynthSpec, generate_session
+
+from conftest import pca_inverse_transform
 
 FS = 512.0
 L = ClassLabel.Left.value

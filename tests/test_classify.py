@@ -1,6 +1,7 @@
 """Linear discriminant and centroid classifiers."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -278,3 +279,72 @@ def test_load_malformed(tmp_path, text):
     (tmp_path / "lda.json").write_text(text, encoding="utf-8")
     with pytest.raises(MalformedMeta):
         load_classifier(tmp_path)
+
+
+# --- PCA folded into the score ----------------------------------------------
+
+
+def _exact_two_step(clf, mean, components, x):
+    """(x - mean) @ components.T @ w + b in exact rational arithmetic."""
+    diff = [Fraction(float(a)) - Fraction(float(m)) for a, m in zip(x, mean)]
+    z = [sum(Fraction(float(p)) * c for p, c in zip(row, diff)) for row in components]
+    return sum(Fraction(float(w)) * zi for w, zi in zip(clf.weights, z)) + Fraction(clf.bias)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["centered", "far-mean"])
+def test_fold_bound_covers_both_paths(offset):
+    # rows near a mean far from 0 make x . w_eff and b_eff cancel, so the
+    # folded error grows with |x| and |mean|, not with |x - mean|
+    rng = np.random.default_rng(4301 + int(offset))
+    k, d, n = 4, 30, 12
+    components = np.linalg.qr(rng.standard_normal((d, k)))[0].T
+    mean = offset + rng.standard_normal(d)
+    X = mean + 1e-3 * rng.standard_normal((n, d))
+    clf = LinearClassifier(
+        kind="lda",
+        weights=rng.standard_normal(k),
+        bias=0.37,
+        class_means=np.zeros((2, k)),
+        priors=np.array([0.5, 0.5]),
+    )
+    folded = clf.fold(mean, components)
+    s_fold, certified = folded.scores(X)
+    s_batch = clf.score((X - mean) @ components.T)
+    s_rows = [clf.score((X[i : i + 1] - mean) @ components.T)[0] for i in range(n)]
+    bound = folded.slope * np.linalg.norm(X, axis=1) + folded.offset
+    a = np.abs(clf.weights) @ np.abs(components)
+    centered_only = 1e-12 * (np.abs(X - mean) @ a + abs(clf.bias))
+    fold_errs = []
+    for i in range(n):
+        exact = _exact_two_step(clf, mean, components, X[i])
+        fold_errs.append(abs(Fraction(float(s_fold[i])) - exact))
+        two_step_err = max(abs(Fraction(float(s)) - exact) for s in (s_batch[i], s_rows[i]))
+        assert fold_errs[-1] + two_step_err <= Fraction(float(bound[i]))
+    if offset:
+        # a bound in |x - mean| alone, even a generous one, misses the fold's
+        # cancellation error
+        assert max(fold_errs) > Fraction(float(centered_only.max()))
+    # a certified sign is the two-step sign
+    assert np.array_equal((s_fold > 0)[certified], (s_batch > 0)[certified])
+
+
+def test_fold_matches_two_step_scores():
+    rng = np.random.default_rng(4302)
+    X, y = _clouds(rng, d=12)
+    components = np.linalg.qr(rng.standard_normal((12, 5)))[0].T
+    mean = X.mean(axis=0)
+    clf = lda_fit((X - mean) @ components.T, y)
+    s_fold, certified = clf.fold(mean, components).scores(X)
+    assert np.allclose(s_fold, clf.score((X - mean) @ components.T), rtol=0, atol=1e-12)
+    assert certified.all()
+
+
+def test_fold_dimension_checks():
+    clf = LinearClassifier(
+        kind="lda", weights=np.ones(3), bias=0.0,
+        class_means=np.zeros((2, 3)), priors=np.array([0.5, 0.5]),
+    )
+    with pytest.raises(DimensionMismatch):
+        clf.fold(np.zeros(6), np.zeros((4, 6)))
+    with pytest.raises(DimensionMismatch):
+        clf.fold(np.zeros(6), np.zeros((3, 6))).scores(np.zeros((2, 5)))

@@ -34,7 +34,7 @@ from mi_decode.evaluate import (
     save_decoder,
     train_decoder,
 )
-from mi_decode.features import FeatureMatrix, WelchSpec, pca_fit
+from mi_decode.features import FeatureMatrix, WelchSpec, pca_fit, pca_transform
 from mi_decode.session import EventKind, EventMarker, Recording, Session, SessionKind
 from mi_decode.synth import SynthSpec, generate_session
 from mi_decode.version import __version__
@@ -360,6 +360,64 @@ def test_psd_decoder_round_trip(small_offline, small_online, tmp_path):
     assert back.pipeline.pca is None
     ws = decoder.windows(small_online.recording)
     assert np.array_equal(back.predict_windows(ws), decoder.predict_windows(ws))
+
+
+# --- folded PCA scoring -----------------------------------------------------
+
+
+def _two_step_prediction(decoder, ws):
+    return decoder.clf.predict(decoder.pipeline.transform(ws))
+
+
+@pytest.mark.parametrize(
+    "mode,k,clf_kind",
+    [("pca", 8, "lda"), ("psd+pca", 24, "lda"), ("pca", 8, "centroid"),
+     ("psd+pca", 24, "centroid")],
+)
+def test_predict_windows_equals_two_step_path(small_offline, small_online, tmp_path,
+                                              mode, k, clf_kind):
+    decoder = train_decoder([small_offline], FeatureConfig(mode=mode, k=k), clf_kind=clf_kind)
+    save_decoder(decoder, tmp_path)
+    back = load_decoder(tmp_path)
+    ws = decoder.windows(small_online.recording)
+    for d in (decoder, back):
+        assert np.array_equal(d.predict_windows(ws), _two_step_prediction(d, ws))
+    # nothing of the fold is saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "decoder.json", "lda.json", "pca.f32le", "pca.json"]
+
+
+def test_unsure_rows_fall_back_to_the_two_step_path(small_pca_decoder, small_online,
+                                                    monkeypatch):
+    ws = small_pca_decoder.windows(small_online.recording)
+    X = evaluate.raw_feature_matrix(ws, small_pca_decoder.pipeline.config).X
+    folded = small_pca_decoder._folded
+    bound = folded.slope * np.linalg.norm(X, axis=1) + folded.offset
+    # shift the bias so that window j's two-step score sits at a tenth of
+    # the bound: positive, but too close to 0 for the folded sign to count
+    j = len(X) // 2
+    z_w = small_pca_decoder.pipeline.transform(ws) @ small_pca_decoder.clf.weights
+    clf = replace(small_pca_decoder.clf, bias=float(bound[j] / 10 - z_w[j]))
+    shifted = replace(small_pca_decoder, clf=clf)
+    assert clf.score(shifted.pipeline.transform(ws))[j] > 0
+    _, certified = shifted._folded.scores(X)
+    flagged = np.flatnonzero(~certified)
+    assert j in flagged and len(flagged) < len(X)
+
+    rows = []
+
+    def counting_transform(pca, Xr):
+        rows.append(np.array(Xr))
+        return pca_transform(pca, Xr)
+
+    monkeypatch.setattr(evaluate, "pca_transform", counting_transform)
+    pred = shifted.predict_windows(ws)
+    monkeypatch.undo()
+    assert np.array_equal(pred, _two_step_prediction(shifted, ws))
+    # exactly the flagged rows were rescored, one row at a time
+    assert len(rows) == len(flagged)
+    assert all(r.shape == (1, X.shape[1]) for r in rows)
+    assert np.array_equal(np.vstack(rows), X[flagged])
 
 
 def test_load_decoder_detects_swapped_pca(small_decoder, tmp_path):

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -440,6 +441,26 @@ def test_stream_report_equals_batch_causal_replay(small_decoder, stream_session)
     streamed = stream_to_report(small_decoder, rec, cfg)
     batch = replay_session(small_decoder, rec, cfg, causal=True)
     assert streamed == batch
+
+
+def test_pca_stream_equals_batch_causal_replay(small_pca_decoder, stream_session):
+    rec = stream_session.recording
+    cfg = EvidenceConfig(0.3, 0.1)
+    streamed = stream_to_report(small_pca_decoder, rec, cfg)
+    assert streamed == replay_session(small_pca_decoder, rec, cfg, causal=True)
+
+
+def test_stream_equals_batch_when_every_window_falls_back(small_pca_decoder,
+                                                          stream_session):
+    # a certificate that never holds sends every window, batched or
+    # streamed, through the one-row two-step path
+    decoder = replace(small_pca_decoder)
+    decoder.__dict__["_folded"] = replace(small_pca_decoder._folded, offset=np.inf)
+    rec = stream_session.recording
+    cfg = EvidenceConfig(0.3, 0.1)
+    streamed = stream_to_report(decoder, rec, cfg)
+    assert streamed == replay_session(decoder, rec, cfg, causal=True)
+    assert streamed == stream_to_report(small_pca_decoder, rec, cfg)
 
 
 def test_stream_event_invariants(small_decoder, stream_session):

