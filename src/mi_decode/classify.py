@@ -18,7 +18,10 @@ one, so ``FoldedScore.scores`` also says, row by row, whether its sign is
 certain to be the sign of the two-step score: it is when |score| exceeds a
 bound on the rounding error of both paths, built from Higham's gamma_n
 dot-product bound (*Accuracy and Stability of Numerical Algorithms*, 2nd
-ed., 2002, §3.1). The decoder rescores every other row on the two-step path.
+ed., 2002, §3.1). That bound holds for the terms summed in any order, so
+the certificate does not depend on how a path groups its sums: a score
+summed block by block from a window's samples is covered like one d-term
+dot. The decoder rescores every other row on the two-step path.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ class FoldedScore:
     """A classifier on PCA projections, folded into one score on raw rows.
 
     ``bound(x) = slope * ||x||_2 + offset`` covers |folded - exact| +
-    |two-step - exact| for every raw row x, so a folded score beyond it has
-    the sign that the two-step path gets in any summation order.
+    |two-step - exact| for every raw row x, whatever order either path sums
+    its terms in, so a folded score beyond it has the two-step sign.
     """
 
     weights: np.ndarray  # (d,) w_eff = components.T @ w
@@ -71,10 +74,14 @@ class FoldedScore:
             raise DimensionMismatch(
                 f"X has {X.shape[-1]} columns, model expects {self.weights.shape[0]}"
             )
-        s = X @ self.weights + self.bias
-        # one d-term dot per row: the row norms without an n x d temporary
-        norms = np.sqrt((X[:, None, :] @ X[:, :, None]).reshape(-1))
-        return s, np.abs(s) > self.slope * norms + self.offset
+        # one d-term dot per row: the squared norms without an n x d temporary
+        return self._from_dots(X @ self.weights, (X[:, None, :] @ X[:, :, None]).reshape(-1))
+
+    def _from_dots(self, dots: np.ndarray, sq_norms: np.ndarray):
+        """``scores`` of raw rows given as their dots with ``weights`` and
+        their squared norms, each summed in any order."""
+        s = dots + self.bias
+        return s, np.abs(s) > self.slope * np.sqrt(sq_norms) + self.offset
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,9 @@ class LinearClassifier:
         + gamma_{d+1} (|x| . |w_eff| + |mean| . |w_eff| + |b_eff| + |b|).
         Cauchy-Schwarz bounds |x - mean| . a by ||x|| ||a|| + |mean| . a and
         |x| . |w_eff| by ||x|| ||w_eff||, so the sum is linear in ||x||.
+        Every gamma_n term holds for its n terms summed in any order, so the
+        bound does not depend on summation order: a score summed in blocks
+        and a score summed as one dot are both covered.
         Each quantity in the bound is itself computed with a relative error
         far below 1e-9, which doubling the bound covers.
         """

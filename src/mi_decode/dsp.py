@@ -355,16 +355,18 @@ class WindowSet:
         if "X" not in self._flat:
             lo, last = _start_range(self.starts)
             by_channel = np.ascontiguousarray(self.signal[lo : last + w].T)
-            if n == 1:  # a streamed window: the transposed span is its row
-                self._flat["X"] = by_channel.reshape(1, -1)
-            else:
-                s_c, s_t = by_channel.strides
-                rows = np.ndarray(
-                    (last - lo + 1, self.n_channels, w), by_channel.dtype,
-                    buffer=by_channel, strides=(s_t, s_c, s_t),
-                )
-                self._flat["X"] = rows[self.starts - lo].reshape(n, -1)
+            s_c, s_t = by_channel.strides
+            rows = np.ndarray(
+                (last - lo + 1, self.n_channels, w), by_channel.dtype,
+                buffer=by_channel, strides=(s_t, s_c, s_t),
+            )
+            self._flat["X"] = rows[self.starts - lo].reshape(n, -1)
         return self._flat["X"]
+
+    def _flat_row(self, i: int) -> np.ndarray:
+        """Row i of flattened() alone, as a new (1, d) array."""
+        start = self.starts[i]
+        return self.signal[start : start + self.win_len].T.reshape(1, -1)
 
     def trial_slices(self) -> list[tuple[int, slice]]:
         """(trial_index, row slice) per trial, in temporal order."""

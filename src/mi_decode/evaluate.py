@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -39,6 +40,8 @@ from .features import (
     FeatureMatrix,
     PcaTransform,
     WelchSpec,
+    _time_major_blocks,
+    _window_dots,
     flatten_windows,
     load_pca,
     pca_fit,
@@ -157,23 +160,50 @@ class Decoder:
         """Two-step scores: the PCA projection, then the classifier."""
         return self.clf.score(self.pipeline.transform(ws))
 
+    @functools.cached_property
+    def _block_weights(self) -> dict:
+        """w_eff in the time-major block layout, per (win_len, block)."""
+        return {}
+
+    def _folded_window_scores(self, ws: WindowSet) -> tuple[np.ndarray, np.ndarray]:
+        """``_folded.scores`` of the flattened windows, summed block by block
+        from the signal (see ``features._window_dots``)."""
+        d = self._folded.weights.shape[0]
+        if ws.n_channels * ws.win_len != d:
+            raise DimensionMismatch(
+                f"windows of {ws.n_channels} x {ws.win_len} samples, model expects {d}"
+            )
+        layout = (ws.win_len, math.gcd(ws.win_len, ws.win_step))
+        if layout not in self._block_weights:
+            self._block_weights[layout] = _time_major_blocks(self._folded.weights, *layout)
+        dots = _window_dots(ws.signal, ws.starts, ws.win_len, self._block_weights[layout])
+        return self._folded._from_dots(*dots)
+
     def predict_windows(self, ws: WindowSet) -> np.ndarray:
         """Labels (0=Left, 1=Right) equal to ``clf.predict(pipeline.transform(ws))``.
 
         With a PCA stage, each raw feature row x is scored once, as
-        ``x . w_eff + b_eff`` (see ``LinearClassifier.fold``). A row keeps
-        that sign when |score| exceeds the rounding bound of both paths,
-        which makes it the two-step sign in any summation order. Any other
-        row is rescored alone on the two-step path, so a window gets the
-        same bits in a batch as when it is streamed by itself.
+        ``x . w_eff + b_eff`` (see ``LinearClassifier.fold``); in ``pca``
+        mode the rows are never built, and the dots are summed from blocks
+        of the signal that overlapping windows share. A row keeps that sign
+        when |score| exceeds the rounding bound of both paths, which makes
+        it the two-step sign whatever order either path sums in. Any other
+        row is built and rescored alone on the two-step path, so a window
+        gets the same vote in a batch as when it is streamed by itself.
         """
-        X = raw_feature_matrix(ws, self.pipeline.config).X
+        config = self.pipeline.config
         if self._folded is None:
-            return self.clf.predict(X)
-        s, certified = self._folded.scores(X)
+            return self.clf.predict(raw_feature_matrix(ws, config).X)
+        if config.uses_psd:
+            X = raw_feature_matrix(ws, config).X
+            s, certified = self._folded.scores(X)
+        else:
+            X = None
+            s, certified = self._folded_window_scores(ws)
         pred = (s > 0).astype(np.int64)
         for i in np.flatnonzero(~certified):
-            pred[i] = self.clf.predict(self.pipeline.transform_raw(X[i : i + 1]))[0]
+            row = ws._flat_row(i) if X is None else X[i : i + 1]
+            pred[i] = self.clf.predict(self.pipeline.transform_raw(row))[0]
         return pred
 
 

@@ -16,6 +16,7 @@ once to a float, computed by integer true division.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -73,10 +74,16 @@ class EvidenceConfig:
                 f"threshold={self.threshold}"
             )
 
-    @property
+    # derived once per config: a grid walks every trial with each config
+    @functools.cached_property
     def votes_to_decide(self) -> int:
         """Smallest net vote count whose evidence strictly exceeds the threshold."""
-        return math.floor(_decimal(self.threshold) / _decimal(self.step)) + 1
+        return math.floor(_decimal(self.threshold) / self._exact_step) + 1
+
+    @functools.cached_property
+    def _exact_step(self) -> Fraction:
+        """The step as the decimal it prints as."""
+        return _decimal(self.step)
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,11 @@ def _walk(
     decimal ``net * step``, rounded once by Python's int true division.
     """
     need = cfg.votes_to_decide
-    step = _decimal(cfg.step)
-    num, den = step.numerator, step.denominator
+    num, den = cfg._exact_step.numerator, cfg._exact_step.denominator
+    right = ClassLabel.Right.value
     net = 0
     for v in votes:
-        net += 1 if int(v) == ClassLabel.Right.value else -1
+        net += 1 if int(v) == right else -1
         ev = net * num / den
         if abs(net) >= need:
             yield ev, Outcome.Right if net > 0 else Outcome.Left

@@ -1,14 +1,16 @@
 """Cross-validation, component sweep, decoder training and persistence."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mi_decode.evaluate as evaluate
+import mi_decode.features as features
 from mi_decode.classify import save_classifier
-from mi_decode.dsp import PreprocessParams, windows_from_recording
+from mi_decode.dsp import PreprocessParams, WindowSet, windows_from_recording
 from mi_decode.errors import (
     BadK,
     DimensionMismatch,
@@ -34,7 +36,13 @@ from mi_decode.evaluate import (
     save_decoder,
     train_decoder,
 )
-from mi_decode.features import FeatureMatrix, WelchSpec, pca_fit, pca_transform
+from mi_decode.features import (
+    CHUNK_WINDOWS,
+    FeatureMatrix,
+    WelchSpec,
+    pca_fit,
+    pca_transform,
+)
 from mi_decode.session import EventKind, EventMarker, Recording, Session, SessionKind
 from mi_decode.synth import SynthSpec, generate_session
 from mi_decode.version import __version__
@@ -418,6 +426,75 @@ def test_unsure_rows_fall_back_to_the_two_step_path(small_pca_decoder, small_onl
     assert len(rows) == len(flagged)
     assert all(r.shape == (1, X.shape[1]) for r in rows)
     assert np.array_equal(np.vstack(rows), X[flagged])
+
+
+def _window_set(signal, starts, win_step):
+    starts = np.asarray(starts)
+    n = len(starts)
+    return WindowSet(signal=signal, starts=starts, labels=np.zeros(n, dtype=np.int64),
+                     trial_index=np.arange(n), run_index=np.zeros(n, dtype=np.int64),
+                     fs=512.0, win_len=512, win_step=win_step)
+
+
+@pytest.mark.parametrize("shared_blocks_per_window", [np.inf, 0])  # blocks; a dot each
+@pytest.mark.parametrize("case", ["irregular", "step-20", "over-one-chunk", "one-window"])
+def test_block_scores_match_flattened_rows(small_pca_decoder, small_online, monkeypatch,
+                                           case, shared_blocks_per_window):
+    monkeypatch.setattr(features, "SHARED_BLOCKS_PER_WINDOW", shared_blocks_per_window)
+    signal = small_pca_decoder.windows(small_online.recording).signal
+    last = signal.shape[0] - 512
+    if case == "irregular":  # overlapping, repeated and out of order
+        starts, step = [640, 96, 96, 0, 32, 5000, 4999, 64, last, 640, 33], 32
+    elif case == "step-20":  # 20 does not divide 512: blocks of gcd = 4 samples
+        starts, step = np.r_[np.arange(0, 1200, 20), [3, 2001, 20]], 20
+    elif case == "over-one-chunk":
+        rng = np.random.default_rng(7)
+        starts, step = rng.integers(0, last + 1, size=CHUNK_WINDOWS + 90), 32
+    else:
+        starts, step = [777], 32
+    ws = _window_set(signal, starts, step)
+    d = small_pca_decoder
+
+    assert np.array_equal(d.predict_windows(ws), _two_step_prediction(d, ws))
+    s_block, _ = d._folded_window_scores(ws)
+    X = ws.flattened()
+    folded = d._folded
+    s_rows = X @ folded.weights + folded.bias
+    bound = folded.slope * np.linalg.norm(X, axis=1) + folded.offset
+    assert np.all(np.abs(s_block - s_rows) <= bound)
+
+
+def test_pca_scoring_builds_no_window_rows(small_pca_decoder, small_online, monkeypatch):
+    ws = small_pca_decoder.windows(small_online.recording)
+    n, d = ws.n_windows, ws.n_channels * ws.win_len
+    flattened, flatten_windows = WindowSet.flattened, features.flatten_windows
+    built = []
+
+    def spy_flattened(self):
+        X = flattened(self)
+        built.append(X.shape)
+        return X
+
+    def spy_flatten_windows(ws):
+        built.append(("flatten_windows", ws.n_windows))
+        return flatten_windows(ws)
+
+    monkeypatch.setattr(WindowSet, "flattened", spy_flattened)
+    for module in (features, evaluate):
+        monkeypatch.setattr(module, "flatten_windows", spy_flatten_windows)
+    tracemalloc.start()
+    try:
+        pred = small_pca_decoder.predict_windows(ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    report = eval_samples(small_pca_decoder, small_online)
+    assert built == []
+    # nothing close to the n x d matrix of flattened rows was allocated
+    assert peak < n * d * 8 / 4
+    monkeypatch.undo()
+    assert np.array_equal(pred, _two_step_prediction(small_pca_decoder, ws))
+    assert report.accuracy == float(np.mean(pred == ws.labels))
 
 
 def test_load_decoder_detects_swapped_pca(small_decoder, tmp_path):
