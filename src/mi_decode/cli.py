@@ -3,7 +3,11 @@
 Subcommands: generate, import-csv, train, eval-samples, eval-trials,
 pca-sweep, grid-search, replay, repro. Settings resolve in three layers:
 built-in defaults, then a flat JSON config file (--config), then explicit
-flags. Every report embeds the package version and a hash of the resolved
+flags. One table, ``SETTINGS``, lists every setting once: its config key,
+its flag, the subcommands that take the flag and the settings-dataclass
+field it fills, whose default it shares. Config files are checked under
+``evaluate.json_setting``, the type rule ``decoder.json`` is loaded under
+too. Every report embeds the package version and a hash of the resolved
 settings; nothing reads the clock, so equal inputs give byte-identical
 reports.
 """
@@ -14,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import FIT_FUNCTIONS
@@ -21,8 +26,10 @@ from .dsp import PreprocessParams
 from .errors import DecodeError, MalformedMeta, MissingFile, MissingSession
 from .evaluate import (
     DEFAULT_SWEEP_KS,
+    FEATURE_MODES,
     FeatureConfig,
     eval_samples,
+    json_setting,
     load_decoder,
     pca_sweep,
     save_decoder,
@@ -59,61 +66,77 @@ DEFAULT_EVENT_CODES = {
     5: EventKind.TrialStart,
 }
 
-_SYNTH = SynthSpec(seed=0)
-
-CONFIG_DEFAULTS = {
-    "band_low": 4.0,
-    "band_high": 30.0,
-    "band_order": 4,
-    "car": True,
-    "win_len_s": 1.0,
-    "step_s": 0.0625,
-    "feature_mode": "pca",
-    "k": 800,
-    "nperseg": 256,
-    "noverlap": 128,
-    "per_channel": True,
-    "classifier": "lda",
-    "theta": 0.5,
-    "delta": 0.1,
-    "thresholds": list(DEFAULT_THRESHOLDS),
-    "steps": list(DEFAULT_STEPS),
-    "objective": "counts",
-    "alpha": 1.0,
-    "beta": 0.5,
-    "causal": False,
-    "seed": 7,
-    "fs": _SYNTH.fs,
-    "erd_depth": _SYNTH.erd_depth,
-    "noise_sigma": _SYNTH.noise_sigma,
-    "alpha_amp": _SYNTH.alpha_amp,
-    "beta_amp": _SYNTH.beta_amp,
-    "trials_per_run": _SYNTH.trials_per_run,
-    "n_runs": _SYNTH.n_runs,
-    "online_runs": 3,
-    "rest_s": _SYNTH.rest_s,
-    "cue_s": _SYNTH.cue_s,
-    "feedback_s": _SYNTH.feedback_s,
-}
+_PIPELINE = ("train", "pca-sweep", "repro")
+_EVIDENCE = ("eval-trials", "replay")
+_GRID = ("grid-search", "repro")
+_GENERATE = ("generate",)
 
 
-def _json_type_ok(value, default) -> bool:
-    """Whether a config-file value has its default's JSON type.
+@dataclass
+class Setting:
+    """One setting: its config key and flag, the subcommands that take the
+    flag, and the settings-dataclass field it fills. Its default is that
+    field's default, unless the row gives one."""
 
-    An int may stand for a float, but a bool never stands for a number.
-    """
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_json_type_ok(v, 0.0) for v in value)
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+    key: str
+    flag: str
+    commands: tuple[str, ...]
+    cls: type | None = None
+    field: str | None = None
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+    def __post_init__(self):
+        if self.default is None:
+            self.default = self.cls.__dataclass_fields__[self.field].default
+
+
+SETTINGS = (
+    Setting("band_low", "--band-low", _PIPELINE, PreprocessParams, "low_hz"),
+    Setting("band_high", "--band-high", _PIPELINE, PreprocessParams, "high_hz"),
+    Setting("band_order", "--band-order", _PIPELINE, PreprocessParams, "order",
+            choices=(2, 4, 6, 8)),
+    Setting("car", "--car", _PIPELINE, PreprocessParams, "car"),
+    Setting("win_len_s", "--win-len", _PIPELINE, PreprocessParams, "win_len_s"),
+    Setting("step_s", "--win-step", _PIPELINE, PreprocessParams, "step_s"),
+    Setting("feature_mode", "--mode", _PIPELINE, FeatureConfig, "mode",
+            choices=FEATURE_MODES),
+    Setting("k", "--pca", _PIPELINE, FeatureConfig, "k", help="PCA component count"),
+    Setting("nperseg", "--nperseg", _PIPELINE, WelchSpec, "nperseg"),
+    Setting("noverlap", "--noverlap", _PIPELINE, WelchSpec, "noverlap"),
+    Setting("per_channel", "--per-channel", _PIPELINE, FeatureConfig, "per_channel"),
+    Setting("classifier", "--classifier", _PIPELINE, default="lda",
+            choices=tuple(FIT_FUNCTIONS)),
+    Setting("fs", "--fs", _PIPELINE + ("import-csv",), SynthSpec, "fs"),
+    Setting("theta", "--theta", _EVIDENCE, EvidenceConfig, "threshold", 0.5,
+            help="decision threshold"),
+    Setting("delta", "--delta", _EVIDENCE, EvidenceConfig, "step", 0.1,
+            help="evidence step"),
+    Setting("causal", "--causal", ("eval-trials", "grid-search"), default=False),
+    Setting("thresholds", "--thresholds", _GRID, default=list(DEFAULT_THRESHOLDS)),
+    Setting("steps", "--steps", _GRID, default=list(DEFAULT_STEPS)),
+    Setting("objective", "--objective", _GRID, default=OBJECTIVES[0], choices=OBJECTIVES),
+    Setting("alpha", "--alpha", _GRID, default=1.0),
+    Setting("beta", "--beta", _GRID, default=0.5),
+    Setting("seed", "--seed", _GENERATE, SynthSpec, "seed", 7),
+    Setting("erd_depth", "--erd-depth", _GENERATE, SynthSpec, "erd_depth"),
+    Setting("noise_sigma", "--noise-sigma", _GENERATE, SynthSpec, "noise_sigma"),
+    Setting("alpha_amp", "--alpha-amp", _GENERATE, SynthSpec, "alpha_amp"),
+    Setting("beta_amp", "--beta-amp", _GENERATE, SynthSpec, "beta_amp"),
+    Setting("trials_per_run", "--trials-per-run", _GENERATE, SynthSpec, "trials_per_run"),
+    Setting("n_runs", "--n-runs", _GENERATE, SynthSpec, "n_runs"),
+    Setting("online_runs", "--online-runs", _GENERATE, default=3),
+    Setting("rest_s", "--rest-s", _GENERATE, SynthSpec, "rest_s"),
+    Setting("cue_s", "--cue-s", _GENERATE, SynthSpec, "cue_s"),
+    Setting("feedback_s", "--feedback-s", _GENERATE, SynthSpec, "feedback_s"),
+)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- flags, rejecting unknown config keys."""
-    cfg = dict(CONFIG_DEFAULTS)
+    """defaults <- config file <- flags, refusing unknown config keys and
+    values that json_setting refuses or that are not among a key's choices."""
+    cfg = {s.key: s.default for s in SETTINGS}
     path = getattr(args, "config", None)
     if path:
         path = Path(path)
@@ -128,64 +151,40 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = sorted(set(doc) - set(cfg))
         if unknown:
             raise MalformedMeta(f"{path}: unknown config keys {unknown}")
-        for key, value in doc.items():
-            if not _json_type_ok(value, CONFIG_DEFAULTS[key]):
+        for s in SETTINGS:
+            if s.key not in doc:
+                continue
+            where = f"{path}: config key {s.key!r}"
+            json_setting(doc[s.key], s.default, where)
+            if s.choices is not None and doc[s.key] not in s.choices:
                 raise MalformedMeta(
-                    f"{path}: config key {key!r} needs the JSON type of its "
-                    f"default {json.dumps(CONFIG_DEFAULTS[key])}, got {json.dumps(value)}"
+                    f"{where} must be one of {list(s.choices)}, got {json.dumps(doc[s.key])}"
                 )
-        if "objective" in doc and doc["objective"] not in OBJECTIVES:
-            raise MalformedMeta(
-                f"{path}: config key 'objective' must be one of "
-                f"{list(OBJECTIVES)}, got {json.dumps(doc['objective'])}"
-            )
         cfg.update(doc)
-    for key in CONFIG_DEFAULTS:
+    for key in cfg:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
     return cfg
 
 
-def _pipeline_from(cfg: dict) -> tuple[PreprocessParams, FeatureConfig, str]:
-    try:
-        params = PreprocessParams(
-            low_hz=float(cfg["band_low"]),
-            high_hz=float(cfg["band_high"]),
-            order=int(cfg["band_order"]),
-            car=bool(cfg["car"]),
-            win_len_s=float(cfg["win_len_s"]),
-            step_s=float(cfg["step_s"]),
-        )
-        params.band_spec(float(cfg["fs"]))  # fail fast on a bad band
-        feat = FeatureConfig(
-            mode=str(cfg["feature_mode"]),
-            k=int(cfg["k"]),
-            welch=WelchSpec(nperseg=int(cfg["nperseg"]), noverlap=int(cfg["noverlap"])),
-            per_channel=bool(cfg["per_channel"]),
-        )
-        kind = str(cfg["classifier"])
-        if kind not in FIT_FUNCTIONS:
-            raise ValueError(f"unknown classifier {kind!r}")
-    except (TypeError, ValueError) as exc:
-        raise MalformedMeta(f"bad pipeline settings: {exc}") from exc
-    return params, feat, kind
+def _build(cls, cfg: dict, **known):
+    """``cls`` from the resolved settings that fill its fields."""
+    return cls(**known, **{
+        s.field: json_setting(cfg[s.key], s.default, s.key)
+        for s in SETTINGS if s.cls is cls
+    })
 
 
-def _synth_spec(cfg: dict) -> SynthSpec:
-    return SynthSpec(
-        seed=int(cfg["seed"]),
-        n_runs=int(cfg["n_runs"]),
-        trials_per_run=int(cfg["trials_per_run"]),
-        fs=float(cfg["fs"]),
-        erd_depth=float(cfg["erd_depth"]),
-        noise_sigma=float(cfg["noise_sigma"]),
-        alpha_amp=float(cfg["alpha_amp"]),
-        beta_amp=float(cfg["beta_amp"]),
-        rest_s=float(cfg["rest_s"]),
-        cue_s=float(cfg["cue_s"]),
-        feedback_s=float(cfg["feedback_s"]),
-    )
+def _grid_settings(cfg: dict) -> dict:
+    """grid_search's keyword arguments, which are config keys too."""
+    return {key: cfg[key] for key in ("thresholds", "steps", "objective", "alpha", "beta")}
+
+
+def _pipeline(cfg: dict) -> tuple[PreprocessParams, FeatureConfig]:
+    params = _build(PreprocessParams, cfg)
+    params.band_spec(float(cfg["fs"]))  # fail fast on a bad band
+    return params, _build(FeatureConfig, cfg, welch=_build(WelchSpec, cfg))
 
 
 def _report_doc(command: str, cfg: dict) -> dict:
@@ -258,7 +257,7 @@ def _int_list(s: str) -> list[int]:
 
 def cmd_generate(args) -> None:
     cfg = _resolve(args)
-    paths = generate_study(_synth_spec(cfg), args.out, online_runs=int(cfg["online_runs"]))
+    paths = generate_study(_build(SynthSpec, cfg), args.out, online_runs=cfg["online_runs"])
     doc = _report_doc("generate", cfg)
     doc["sessions"] = {name: str(p) for name, p in paths.items()}
     _emit(doc, args)
@@ -304,9 +303,9 @@ def cmd_import_csv(args) -> None:
 
 def cmd_train(args) -> None:
     cfg = _resolve(args)
-    params, feat, kind = _pipeline_from(cfg)
+    params, feat = _pipeline(cfg)
     sessions = [load_session(p) for p in args.session]
-    decoder = train_decoder(sessions, feat, params, kind)
+    decoder = train_decoder(sessions, feat, params, cfg["classifier"])
     save_decoder(decoder, args.out)
     doc = _report_doc("train", cfg)
     doc["decoder"] = {
@@ -331,9 +330,8 @@ def cmd_eval_trials(args) -> None:
     cfg = _resolve(args)
     decoder = load_decoder(args.decoder)
     session = load_session(args.session)
-    ev_cfg = EvidenceConfig(threshold=float(cfg["theta"]), step=float(cfg["delta"]))
     report = replay_session(
-        decoder, session.recording, ev_cfg, causal=bool(cfg["causal"])
+        decoder, session.recording, _build(EvidenceConfig, cfg), causal=cfg["causal"]
     )
     doc = _report_doc("eval-trials", cfg)
     doc["trials"] = report.to_dict()
@@ -342,10 +340,10 @@ def cmd_eval_trials(args) -> None:
 
 def cmd_pca_sweep(args) -> None:
     cfg = _resolve(args)
-    params, feat, kind = _pipeline_from(cfg)
+    params, feat = _pipeline(cfg)
     session = load_session(args.session)
-    ks = args.ks if args.ks else list(DEFAULT_SWEEP_KS)
-    sweep = pca_sweep(session, ks, feat, params, kind)
+    ks = DEFAULT_SWEEP_KS if args.ks is None else args.ks
+    sweep = pca_sweep(session, ks, feat, params, cfg["classifier"])
     doc = _report_doc("pca-sweep", cfg)
     doc["sweep"] = sweep.to_dict()
     doc["sweep"]["folds"] = [rep.to_dict() for rep in sweep.reports]
@@ -357,14 +355,7 @@ def cmd_grid_search(args) -> None:
     decoder = load_decoder(args.decoder)
     session = load_session(args.session)
     result = grid_search(
-        decoder,
-        session.recording,
-        thresholds=cfg["thresholds"],
-        steps=cfg["steps"],
-        objective=str(cfg["objective"]),
-        alpha=float(cfg["alpha"]),
-        beta=float(cfg["beta"]),
-        causal=bool(cfg["causal"]),
+        decoder, session.recording, **_grid_settings(cfg), causal=cfg["causal"]
     )
     if args.csv:
         Path(args.csv).write_text(result.to_csv(), encoding="utf-8")
@@ -377,7 +368,7 @@ def cmd_replay(args) -> None:
     cfg = _resolve(args)
     decoder = load_decoder(args.decoder)
     session = load_session(args.session)
-    ev_cfg = EvidenceConfig(threshold=float(cfg["theta"]), step=float(cfg["delta"]))
+    ev_cfg = _build(EvidenceConfig, cfg)
 
     def printer(ev):
         sys.stdout.write(
@@ -407,7 +398,8 @@ def cmd_replay(args) -> None:
 
 def cmd_repro(args) -> None:
     cfg = _resolve(args)
-    params, feat, kind = _pipeline_from(cfg)
+    params, feat = _pipeline(cfg)
+    kind = cfg["classifier"]
     study = Path(args.study)
     sessions = {}
     for name in ("offline", "online1", "online2"):
@@ -428,15 +420,7 @@ def cmd_repro(args) -> None:
 
     trials = []
     for label, decoder in (("base", base), ("tuned", tuned)):
-        grid = grid_search(
-            decoder,
-            sessions["online1"].recording,
-            thresholds=cfg["thresholds"],
-            steps=cfg["steps"],
-            objective=str(cfg["objective"]),
-            alpha=float(cfg["alpha"]),
-            beta=float(cfg["beta"]),
-        )
+        grid = grid_search(decoder, sessions["online1"].recording, **_grid_settings(cfg))
         replay = replay_session(decoder, sessions["online2"].recording, grid.best)
         trials.append(
             {
@@ -463,50 +447,18 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--text", action="store_true", help="aligned text instead of JSON")
 
 
-def _add_pipeline_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--band-low", dest="band_low", type=float)
-    p.add_argument("--band-high", dest="band_high", type=float)
-    p.add_argument("--band-order", dest="band_order", type=int, choices=(2, 4, 6, 8))
-    p.add_argument("--car", dest="car", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--win-len", dest="win_len_s", type=float)
-    p.add_argument("--win-step", dest="step_s", type=float)
-    p.add_argument("--mode", dest="feature_mode", choices=("pca", "psd", "psd+pca"))
-    p.add_argument("--pca", dest="k", type=int, help="PCA component count")
-    p.add_argument("--nperseg", dest="nperseg", type=int)
-    p.add_argument("--noverlap", dest="noverlap", type=int)
-    p.add_argument("--per-channel", dest="per_channel",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--classifier", dest="classifier", choices=tuple(FIT_FUNCTIONS))
-    p.add_argument("--fs", dest="fs", type=float)
-
-
-def _add_evidence_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", dest="theta", type=float, help="decision threshold")
-    p.add_argument("--delta", dest="delta", type=float, help="evidence step")
-    p.add_argument("--causal", dest="causal", action="store_true", default=None)
-
-
-def _add_grid_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--thresholds", dest="thresholds", type=_float_list)
-    p.add_argument("--steps", dest="steps", type=_float_list)
-    p.add_argument("--objective", dest="objective", choices=OBJECTIVES)
-    p.add_argument("--alpha", dest="alpha", type=float)
-    p.add_argument("--beta", dest="beta", type=float)
-
-
-def _add_synth_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", dest="seed", type=int)
-    p.add_argument("--erd-depth", dest="erd_depth", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--alpha-amp", dest="alpha_amp", type=float)
-    p.add_argument("--beta-amp", dest="beta_amp", type=float)
-    p.add_argument("--trials-per-run", dest="trials_per_run", type=int)
-    p.add_argument("--n-runs", dest="n_runs", type=int)
-    p.add_argument("--online-runs", dest="online_runs", type=int)
-    p.add_argument("--rest-s", dest="rest_s", type=float)
-    p.add_argument("--cue-s", dest="cue_s", type=float)
-    p.add_argument("--feedback-s", dest="feedback_s", type=float)
+def _add_setting_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """The flags of every setting that ``command`` takes, typed by its default."""
+    for s in SETTINGS:
+        if command not in s.commands:
+            continue
+        if isinstance(s.default, bool):
+            # a switch that is off by default can only be turned on
+            action = argparse.BooleanOptionalAction if s.default else "store_true"
+            p.add_argument(s.flag, dest=s.key, action=action, default=None, help=s.help)
+        else:
+            kind = {float: float, int: int, list: _float_list}.get(type(s.default))
+            p.add_argument(s.flag, dest=s.key, type=kind, choices=s.choices, help=s.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic offline/online study")
     p.add_argument("--out", required=True, help="study output directory")
-    _add_synth_opts(p)
+    _add_setting_flags(p, "generate")
     _add_output_opts(p)
     p.set_defaults(func=cmd_generate)
 
@@ -533,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensor", choices=[s.name for s in Sensor], default="Gel")
     p.add_argument("--kind", choices=[k.name for k in SessionKind], default="Offline")
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--fs", dest="fs", type=float)
+    _add_setting_flags(p, "import-csv")
     _add_output_opts(p)
     p.set_defaults(func=cmd_import_csv)
 
@@ -541,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session", action="append", required=True,
                    help="session dir; repeat to train on a union")
     p.add_argument("--out", required=True, help="decoder output directory")
-    _add_pipeline_opts(p)
+    _add_setting_flags(p, "train")
     _add_output_opts(p)
     p.set_defaults(func=cmd_train)
 
@@ -554,14 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-trials", help="trial-level accumulation outcomes")
     p.add_argument("--decoder", required=True)
     p.add_argument("--session", required=True)
-    _add_evidence_opts(p)
+    _add_setting_flags(p, "eval-trials")
     _add_output_opts(p)
     p.set_defaults(func=cmd_eval_trials)
 
     p = sub.add_parser("pca-sweep", help="CV accuracy versus PCA component count")
     p.add_argument("--session", required=True)
     p.add_argument("--ks", type=_int_list, help="comma-separated component counts")
-    _add_pipeline_opts(p)
+    _add_setting_flags(p, "pca-sweep")
     _add_output_opts(p)
     p.set_defaults(func=cmd_pca_sweep)
 
@@ -569,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoder", required=True)
     p.add_argument("--session", required=True)
     p.add_argument("--csv", help="also write the percentage matrix as CSV")
-    p.add_argument("--causal", dest="causal", action="store_true", default=None)
-    _add_grid_opts(p)
+    _add_setting_flags(p, "grid-search")
     _add_output_opts(p)
     p.set_defaults(func=cmd_grid_search)
 
@@ -581,16 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print one JSON line per consumed window")
     p.add_argument("--realtime", action="store_true",
                    help="sleep one window step between events")
-    p.add_argument("--theta", dest="theta", type=float)
-    p.add_argument("--delta", dest="delta", type=float)
+    _add_setting_flags(p, "replay")
     _add_output_opts(p)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("repro", help="full offline->online workflow on a study dir")
     p.add_argument("--study", required=True,
                    help="directory holding offline/, online1/, online2/")
-    _add_pipeline_opts(p)
-    _add_grid_opts(p)
+    _add_setting_flags(p, "repro")
     _add_output_opts(p)
     p.set_defaults(func=cmd_repro)
 

@@ -13,7 +13,7 @@ stacked copy only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.signal import sosfilt
@@ -202,14 +202,7 @@ class PreprocessParams:
         return BandpassSpec(self.low_hz, self.high_hz, self.order, fs)
 
     def to_dict(self) -> dict:
-        return {
-            "low_hz": self.low_hz,
-            "high_hz": self.high_hz,
-            "order": self.order,
-            "car": self.car,
-            "win_len_s": self.win_len_s,
-            "step_s": self.step_s,
-        }
+        return asdict(self)
 
 
 def preprocess(

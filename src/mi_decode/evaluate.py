@@ -13,7 +13,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -93,9 +93,7 @@ class FeatureConfig:
         return {
             "mode": self.mode,
             "k": self.k if self.uses_pca else None,
-            "nperseg": self.welch.nperseg,
-            "noverlap": self.welch.noverlap,
-            "taper": self.welch.taper,
+            **asdict(self.welch),
             "per_channel": self.per_channel,
         }
 
@@ -482,6 +480,41 @@ def save_decoder(decoder: Decoder, path) -> None:
         raise IoFailure(f"cannot write {path / DECODER_META_NAME}: {exc}") from exc
 
 
+def json_setting(value, default, where: str):
+    """``value``, read from JSON, as a setting whose default is ``default``.
+
+    The one type rule of ``--config`` files and ``decoder.json``: the value
+    has its default's JSON type, except that an int may stand for a float
+    (and is returned as one); a bool never stands for a number, and a list
+    holds numbers. Anything else raises MalformedMeta.
+    """
+    if isinstance(default, list):
+        ok = isinstance(value, list) and all(type(v) in (int, float) for v in value)
+    elif isinstance(default, float):
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise MalformedMeta(
+            f"{where} needs the JSON type of its default {json.dumps(default)}, "
+            f"got {json.dumps(value)}"
+        )
+    if isinstance(default, float):
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise MalformedMeta(f"{where}: {exc}") from exc
+    return value
+
+
+def _from_json(cls, doc: dict, where: str, **known):
+    """``cls`` from ``doc``'s value for each field not ``known``, under json_setting."""
+    return cls(**known, **{
+        f.name: json_setting(doc[f.name], f.default, f"{where} {f.name!r}")
+        for f in fields(cls) if f.name not in known
+    })
+
+
 def load_decoder(path) -> Decoder:
     """Load a decoder directory, checking the classifier/PCA pairing."""
     path = Path(path)
@@ -490,26 +523,13 @@ def load_decoder(path) -> Decoder:
         raise MissingFile(f"missing {meta_path}")
     try:
         doc = json.loads(meta_path.read_text(encoding="utf-8"))
-        pp = doc["preprocess"]
-        fc = doc["features"]
-        params = PreprocessParams(
-            low_hz=float(pp["low_hz"]),
-            high_hz=float(pp["high_hz"]),
-            order=int(pp["order"]),
-            car=bool(pp["car"]),
-            win_len_s=float(pp["win_len_s"]),
-            step_s=float(pp["step_s"]),
-        )
-        config = FeatureConfig(
-            mode=str(fc["mode"]),
-            k=None if fc["k"] is None else int(fc["k"]),
-            welch=WelchSpec(
-                nperseg=int(fc["nperseg"]),
-                noverlap=int(fc["noverlap"]),
-                taper=str(fc["taper"]),
-            ),
-            per_channel=bool(fc["per_channel"]),
-        )
+        params = _from_json(PreprocessParams, doc["preprocess"], f"{meta_path}: preprocess")
+        features = doc["features"]
+        where = f"{meta_path}: features"
+        known = {"welch": _from_json(WelchSpec, features, where)}
+        if features["k"] is None:  # saved for modes without PCA
+            known["k"] = None
+        config = _from_json(FeatureConfig, features, where, **known)
         provenance = dict(doc["provenance"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise MalformedMeta(f"{meta_path}: {exc}") from exc

@@ -347,6 +347,8 @@ def grid_search(
         raise EmptyGrid("need at least one threshold and one step")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise InvalidThreshold(f"alpha and beta must be finite, got {alpha}, {beta}")
 
     labels, votes = _trial_votes(decoder, rec, causal)
     cells = []

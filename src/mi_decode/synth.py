@@ -17,7 +17,7 @@ then noise), so the same spec always yields byte-identical sessions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,10 @@ class SynthSpec:
     tail_s: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise BadSpec(f"{f.name} must be finite, got {v}")
         if self.n_runs < 1:
             raise BadSpec(f"need n_runs >= 1, got {self.n_runs}")
         if self.trials_per_run < 2 or self.trials_per_run % 2:
@@ -222,6 +226,10 @@ def generate_study(
     use seeds seed+1 and seed+2 with online_runs runs each. All three
     share the subject name derived from the base seed.
     """
+    # the online specs change only the seed, which has no bound, and n_runs,
+    # so this check validates all three specs before any session is written
+    if online_runs < 1:
+        raise BadSpec(f"need online_runs >= 1, got {online_runs}")
     out_dir = Path(out_dir)
     subject = f"synth{spec.seed}"
     paths: dict[str, Path] = {}

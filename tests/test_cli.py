@@ -571,3 +571,68 @@ def test_import_csv_inf_cell_exits_1(tmp_path, capsys):
     )
     _single_error(capsys, rc, "NonFiniteSample")
     assert not (tmp_path / "sess").exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("preprocess", "car", "false"),
+        ("features", "per_channel", "no"),
+        ("preprocess", "order", 4.7),
+        ("preprocess", "low_hz", "4"),
+        ("features", "nperseg", 256.5),
+    ],
+)
+def test_coercible_decoder_json_field_exits_1(cli_env, tmp_path, capsys, section, key, value):
+    _, study, decoder = cli_env
+    broken = tmp_path / "decoder"
+    shutil.copytree(decoder, broken)
+    meta = broken / "decoder.json"
+    doc = json.loads(meta.read_text(encoding="utf-8"))
+    doc[section][key] = value
+    meta.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["eval-samples", "--decoder", str(broken), "--session", str(study / "online1")])
+    _single_error(capsys, rc, "MalformedMeta")
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--noise-sigma", "nan"), ("--alpha-amp", "inf"), ("--beta-amp", "nan")]
+)
+def test_generate_refuses_non_finite_spec(tmp_path, capsys, flag, value):
+    out = tmp_path / "study"
+    rc = main(["generate", "--out", str(out)] + GENERATE_ARGS + [flag, value])
+    _single_error(capsys, rc, "BadSpec")
+    assert not out.exists()
+
+
+def test_generate_zero_online_runs_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "study"
+    rc = main(["generate", "--out", str(out)] + GENERATE_ARGS + ["--online-runs", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: BadSpec: ")
+    assert "online_runs" in err[0]
+    assert not out.exists()
+
+
+def test_grid_search_non_finite_alpha_exits_1(cli_env, capsys):
+    _, study, decoder = cli_env
+    rc = main(
+        [
+            "grid-search",
+            "--decoder", str(decoder),
+            "--session", str(study / "online1"),
+            "--objective", "weighted",
+            "--alpha", "nan",
+        ]
+    )
+    _single_error(capsys, rc, "InvalidThreshold")
+
+
+def test_pca_sweep_empty_ks_exits_1(cli_env, capsys):
+    _, study, _ = cli_env
+    rc = main(["pca-sweep", "--session", str(study / "offline"), "--ks", ""])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    # not the default ks, which stop at k=1600 on this small session
+    assert err == ["error: BadK: sweep needs at least one k"]

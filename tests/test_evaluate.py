@@ -526,6 +526,46 @@ def test_load_decoder_detects_feature_count_mismatch(small_decoder, tmp_path):
         load_decoder(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("preprocess", "car", "false"),
+        ("features", "per_channel", "no"),
+        ("preprocess", "order", 4.7),
+        ("preprocess", "low_hz", "4"),
+        ("features", "nperseg", 256.5),
+    ],
+)
+def test_decoder_json_is_refused_not_coerced(small_decoder, tmp_path, section, key, value):
+    save_decoder(small_decoder, tmp_path)
+    meta = tmp_path / DECODER_META_NAME
+    doc = json.loads(meta.read_text(encoding="utf-8"))
+    doc[section][key] = value
+    meta.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedMeta, match=key):
+        load_decoder(tmp_path)
+
+
+def test_decoder_round_trip_of_every_setting(small_offline, tmp_path):
+    # every field off its default; "hann" is the only taper there is
+    params = PreprocessParams(
+        low_hz=6.5, high_hz=28.0, order=6, car=False, win_len_s=0.5, step_s=0.125
+    )
+    config = FeatureConfig(
+        mode="psd+pca", k=12, welch=WelchSpec(nperseg=128, noverlap=32), per_channel=False
+    )
+    decoder = train_decoder([small_offline], config, params, clf_kind="centroid")
+    save_decoder(decoder, tmp_path / "a")
+    back = load_decoder(tmp_path / "a")
+    assert back.params == params
+    assert back.pipeline.config == config
+    assert back.clf.kind == "centroid"
+    save_decoder(back, tmp_path / "b")
+    assert (tmp_path / "b" / DECODER_META_NAME).read_bytes() == (
+        tmp_path / "a" / DECODER_META_NAME
+    ).read_bytes()
+
+
 def test_load_decoder_missing_and_malformed(small_decoder, tmp_path):
     with pytest.raises(MissingFile):
         load_decoder(tmp_path / "nope")
