@@ -5,15 +5,18 @@ prototype (prewarped band edges, lowpass-to-bandpass transform, bilinear
 map), organized as second-order sections. Offline filtering is zero-phase
 forward-backward with a fixed reflect-pad rule; the streaming path is a
 causal forward-only cascade whose chunked output is bit-identical to the
-one-shot forward pass. Windowing copies no window: a WindowSet holds the
-trials' samples once as one signal, and window i is
+one-shot forward pass; stream_windows feeds it in arrival order and cuts
+each trial with window_trials, so the stream refuses a trial as the batch
+path does, when it arrives. Windowing copies no window: a WindowSet holds
+the trials' samples once as one signal, and window i is
 signal[starts[i] : starts[i] + win_len]; its windows property builds the
 stacked copy only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 from scipy.signal import sosfilt
@@ -226,6 +229,31 @@ def windows_from_recording(
     return window_trials(trials, params.win_len_s, params.step_s)
 
 
+def stream_windows(rec: Recording, params: PreprocessParams) -> Iterator[WindowSet]:
+    """Each trial's windows in arrival order, bit-identical to that trial's
+    windows in ``windows_from_recording(rec, params, causal=True)``.
+
+    One filter call takes each gap and the trial after it, carrying the
+    causal state; CAR and window_trials follow, so a trial the batch path
+    refuses raises the same error when it arrives.
+    """
+    trials = extract_trials(rec)  # marker walk only; samples filtered below
+    if not trials:
+        raise NoTrials("recording has no cue/feedback markers")
+    coeffs = design_bandpass(params.band_spec(rec.fs))
+    state = causal_filter_state(coeffs, rec.n_channels)
+    pos = 0
+    for trial in trials:
+        end = trial.start_sample + trial.n_samples
+        rows, state = filter_causal_step(coeffs, state, rec.samples[pos:end])
+        block = Recording(rows[trial.start_sample - pos :], rec.fs, rec.channel_labels)
+        pos = end
+        if params.car:
+            block = apply_car(block)
+        yield window_trials([replace(trial, samples=block.samples)],
+                            params.win_len_s, params.step_s)
+
+
 @dataclass(frozen=True)
 class Trial:
     """One cue's continuous-feedback segment."""
@@ -356,10 +384,11 @@ class WindowSet:
             self._flat["X"] = rows[self.starts - lo].reshape(n, -1)
         return self._flat["X"]
 
-    def _flat_row(self, i: int) -> np.ndarray:
-        """Row i of flattened() alone, as a new (1, d) array."""
-        start = self.starts[i]
-        return self.signal[start : start + self.win_len].T.reshape(1, -1)
+    def __getitem__(self, rows: slice) -> WindowSet:
+        """The windows in ``rows``, cut from this set's signal without a copy."""
+        return replace(self, starts=self.starts[rows], labels=self.labels[rows],
+                       trial_index=self.trial_index[rows],
+                       run_index=self.run_index[rows], _flat={})
 
     def trial_slices(self) -> list[tuple[int, slice]]:
         """(trial_index, row slice) per trial, in temporal order."""
@@ -374,7 +403,7 @@ def _start_range(starts: np.ndarray) -> tuple[int, int]:
     """Smallest and largest of a non-empty array of window starts.
 
     Python's min and max: two numpy reductions cost the one-window sets
-    that stream_replay builds for every window about 5 microseconds.
+    that stream_replay slices for every window about 5 microseconds.
     """
     values = starts.tolist()
     return min(values), max(values)
@@ -407,7 +436,8 @@ def window_trials(
     for t, trial in enumerate(trials):
         if trial.n_samples < win:
             raise TrialTooShort(
-                f"trial {t} has {trial.n_samples} samples, window needs {win}"
+                f"trial at sample {trial.start_sample} has {trial.n_samples} "
+                f"samples, window needs {win}"
             )
         count = 1 + (trial.n_samples - win) // step
         starts.append(offset + step * np.arange(count))

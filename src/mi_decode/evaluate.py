@@ -200,7 +200,7 @@ class Decoder:
             s, certified = self._folded_window_scores(ws)
         pred = (s > 0).astype(np.int64)
         for i in np.flatnonzero(~certified):
-            row = ws._flat_row(i) if X is None else X[i : i + 1]
+            row = ws[i : i + 1].flattened() if X is None else X[i : i + 1]
             pred[i] = self.clf.predict(self.pipeline.transform_raw(row))[0]
         return pred
 

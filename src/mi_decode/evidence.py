@@ -10,8 +10,10 @@ because 0.1 * 3 > 0.3 in binary floating point.
 
 Batch replay, grid search and the streamed replay share one decision loop
 (``_walk``), so a tuned (threshold, step) decides live exactly as it did
-offline. Each evidence value is the exact decimal ``net * step`` rounded
-once to a float, computed by integer true division.
+offline; the stream takes its windows from ``dsp.stream_windows``, so a
+trial the batch path refuses fails in the stream when it arrives. Each
+evidence value is the exact decimal ``net * step`` rounded once to a
+float, computed by integer true division.
 """
 
 from __future__ import annotations
@@ -27,15 +29,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dsp import (
-    PreprocessParams,
-    causal_filter_state,
-    design_bandpass,
-    extract_trials,
-    filter_causal_step,
-    WindowSet,
-)
-from .errors import EmptyGrid, EmptyTrial, InvalidThreshold, NoTrials
+from .dsp import PreprocessParams, extract_trials, stream_windows
+from .errors import EmptyGrid, EmptyTrial, InvalidThreshold
 from .session import ClassLabel, Recording
 
 DEFAULT_THRESHOLDS = tuple(i / 10 for i in range(1, 11))
@@ -158,8 +153,6 @@ class TrialReport:
 
     results: tuple[TrialResult, ...]
     config: EvidenceConfig
-    win_len_s: float
-    step_s: float
 
     @property
     def n_trials(self) -> int:
@@ -248,12 +241,7 @@ def _report(
             # the k-th window's last sample arrives win_len + (k-1)*step seconds in
             latency = params.win_len_s + (outcome.stop_index - 1) * params.step_s
         results.append(TrialResult(label=label, outcome=outcome, latency_s=latency))
-    return TrialReport(
-        results=tuple(results),
-        config=cfg,
-        win_len_s=params.win_len_s,
-        step_s=params.step_s,
-    )
+    return TrialReport(results=tuple(results), config=cfg)
 
 
 def _trial_votes(
@@ -390,53 +378,23 @@ def stream_replay(
 ) -> Iterator[StreamEvent]:
     """Replay a recording as a causal stream, one event per consumed window.
 
-    Samples pass through the forward-only filter cascade in arrival order
-    (state carried across trials and inter-trial gaps), each window is
-    classified as soon as its last sample lands, and the trial stops
-    consuming windows at the decision. With ``realtime=True`` the stream
-    sleeps one window step between events. Decisions are identical to
-    ``replay_session(..., causal=True)``.
+    Each trial's windows come from ``dsp.stream_windows`` as the trial
+    arrives (a bad trial raises then, after the events before it), each
+    window is classified when the walk asks for its vote, and the trial
+    stops consuming windows at the decision. With ``realtime=True`` the
+    stream sleeps one window step between events. Decisions are identical
+    to ``replay_session(..., causal=True)``.
     """
     params: PreprocessParams = decoder.params
-    win = int(round(params.win_len_s * rec.fs))
-    step = int(round(params.step_s * rec.fs))
-    spans = extract_trials(rec)  # marker walk only; samples re-filtered below
-    if not spans:
-        raise NoTrials("recording has no cue/feedback markers")
-
-    coeffs = design_bandpass(params.band_spec(rec.fs))
-    state = causal_filter_state(coeffs, rec.n_channels)
-    pos = 0
-    for t, trial in enumerate(spans):
-        start, end = trial.start_sample, trial.start_sample + trial.n_samples
-        if start > pos:  # advance filter state through the gap
-            _, state = filter_causal_step(coeffs, state, rec.samples[pos:start])
-        block, state = filter_causal_step(coeffs, state, rec.samples[start:end])
-        pos = end
-        if params.car:
-            block = block - block.mean(axis=1, keepdims=True)
-        # the filter output is not C-ordered; convert it once per trial so
-        # that no window copies the whole block
-        block = np.ascontiguousarray(block)
-
-        n_windows = 1 + (block.shape[0] - win) // step
+    for t, ws in enumerate(stream_windows(rec, params)):
         votes = (  # lazy: a window is scored only when the walk asks for its vote
-            int(decoder.predict_windows(WindowSet(
-                signal=block,
-                starts=np.array([w * step]),
-                labels=np.array([trial.label.value]),
-                trial_index=np.array([t]),
-                run_index=np.array([trial.run_index]),
-                fs=rec.fs,
-                win_len=win,
-                win_step=step,
-            ))[0])
-            for w in range(n_windows)
+            int(decoder.predict_windows(ws[w : w + 1])[0])
+            for w in range(ws.n_windows)
         )
         for w, (ev, decision) in enumerate(_walk(votes, cfg), 1):
             if decision is not None:
                 outcome = decision.name
-            elif w == n_windows:
+            elif w == ws.n_windows:
                 outcome = "Timeout"
             else:
                 outcome = "accumulating"

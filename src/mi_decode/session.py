@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -104,8 +105,8 @@ class Recording:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
         object.__setattr__(self, "events", tuple(self.events))
-        if self.fs <= 0:
-            raise ValueError(f"fs must be positive, got {self.fs}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"fs must be finite and positive, got {self.fs}")
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
         if len(self.channel_labels) != self.n_channels:
@@ -348,4 +349,7 @@ def import_csv(
         labels = tuple(header[c] for c in chan_idx)
     else:
         labels = tuple(f"ch{j}" for j in range(len(chan_idx)))
-    return Recording(samples=samples, fs=fs, channel_labels=labels, events=tuple(events))
+    try:
+        return Recording(samples=samples, fs=fs, channel_labels=labels, events=tuple(events))
+    except ValueError as exc:
+        raise MalformedMeta(f"{path}: {exc}") from exc

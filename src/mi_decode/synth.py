@@ -71,6 +71,8 @@ class SynthSpec:
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise BadSpec(f"{f.name} must be finite, got {v}")
+        if self.seed < 0:
+            raise BadSpec(f"seed must be non-negative, got {self.seed}")
         if self.n_runs < 1:
             raise BadSpec(f"need n_runs >= 1, got {self.n_runs}")
         if self.trials_per_run < 2 or self.trials_per_run % 2:

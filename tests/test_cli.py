@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mi_decode.cli import main
-from mi_decode.session import EventKind, load_session
+from mi_decode.session import EventKind, SessionKind, load_session, save_session
+from mi_decode.synth import SynthSpec, generate_session
 from mi_decode.version import __version__
 
 SESSION_FILES = ("meta.json", "samples.f32le")
@@ -613,6 +614,66 @@ def test_generate_zero_online_runs_writes_nothing(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: BadSpec: ")
     assert "online_runs" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_generate_refuses_negative_seed(tmp_path, capsys, source):
+    out = tmp_path / "study"
+    if source == "flag":
+        extra = ["--seed", "-1"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        extra = ["--config", str(cfg_path)]
+    # GENERATE_ARGS without its --seed, which would override the file
+    rc = main(["generate", "--out", str(out)] + GENERATE_ARGS[2:] + extra)
+    _single_error(capsys, rc, "BadSpec")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fs", ["0", "-512", "nan", "inf"])
+def test_import_csv_refuses_bad_sampling_rate(tmp_path, capsys, fs):
+    csv_path = tmp_path / "rec.csv"
+    _write_csv(csv_path)
+    out = tmp_path / "sess"
+    rc = main(["import-csv", "--csv", str(csv_path), "--out", str(out), "--fs", fs])
+    _single_error(capsys, rc, "MalformedMeta")
+    assert not out.exists()
+
+
+def _stream_and_batch_errors(capsys, decoder, session):
+    """The single error line of a streamed and a batch causal replay."""
+    common = ["--decoder", str(decoder), "--session", str(session)]
+    lines = []
+    for argv in (["replay", "--events"], ["eval-trials", "--causal"]):
+        rc = main(argv + common)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        lines.append(err[0])
+    return lines
+
+
+def test_replay_refuses_a_trial_shorter_than_a_window(cli_env, tmp_path, capsys):
+    _, _, decoder = cli_env
+    spec = SynthSpec(seed=302, n_runs=1, trials_per_run=2, feedback_s=0.5)
+    save_session(*generate_session(spec, SessionKind.Online1), tmp_path / "short")
+    streamed, batch = _stream_and_batch_errors(capsys, decoder, tmp_path / "short")
+    assert streamed == batch
+    assert batch.startswith("error: TrialTooShort: ")
+
+
+def test_replay_refuses_a_non_integer_window_step(cli_env, tmp_path, capsys):
+    _, study, _ = cli_env
+    decoder = tmp_path / "psd"
+    rc = main(["train", "--session", str(study / "offline"), "--out", str(decoder),
+               "--mode", "psd", "--report", str(tmp_path / "train.json")])
+    assert rc == 0
+    spec = SynthSpec(seed=303, n_runs=1, trials_per_run=2, feedback_s=2.0, fs=500.0)
+    save_session(*generate_session(spec, SessionKind.Online1), tmp_path / "500hz")
+    streamed, batch = _stream_and_batch_errors(capsys, decoder, tmp_path / "500hz")
+    assert streamed == batch == (
+        "error: NonIntegerWindow: window step of 0.0625s is 31.25 samples at fs=500.0")
 
 
 def test_grid_search_non_finite_alpha_exits_1(cli_env, capsys):

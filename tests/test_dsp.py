@@ -19,6 +19,7 @@ from mi_decode.dsp import (
     filter_forward,
     filter_offline,
     preprocess,
+    stream_windows,
     window_trials,
     windows_from_recording,
 )
@@ -542,6 +543,47 @@ def test_windows_from_recording_counts():
         ClassLabel.Right.value,
         ClassLabel.Left.value,
     ]
+
+
+def _stream_recording(feedback_n=(1024, 700, 900)):
+    """Three trials on runs 0, 0 and 1, with samples before, between and
+    after them."""
+    events = []
+    labels = [ClassLabel.Left, ClassLabel.Right, ClassLabel.Left]
+    for i, (label, n) in enumerate(zip(labels, feedback_n)):
+        events.extend(trial_events(300 + 1200 * i, label, n, run_index=i // 2, cue_gap=64))
+    return noise_recording(4000, 5, FS, events=events, seed=4110)
+
+
+@pytest.mark.parametrize("car", [True, False])
+def test_stream_windows_equal_the_batch_causal_windows(car):
+    rec = _stream_recording()
+    params = PreprocessParams(car=car)
+    batch = windows_from_recording(rec, params, causal=True)
+    streamed = list(stream_windows(rec, params))
+    slices = batch.trial_slices()
+    assert [ws.n_windows for ws in streamed] == [17, 6, 13]
+    assert len(slices) == len(streamed)
+    for ws, (_, rows) in zip(streamed, slices):
+        trial = batch[rows]
+        assert trial.signal is batch.signal
+        assert np.array_equal(ws.starts, trial.starts - trial.starts[0])
+        assert np.array_equal(ws.labels, trial.labels)
+        assert np.array_equal(ws.run_index, trial.run_index)
+        assert np.array_equal(ws.windows, trial.windows)
+
+
+def test_stream_windows_refuse_a_short_trial_when_it_arrives():
+    rec = _stream_recording(feedback_n=(1024, 300, 900))
+    params = PreprocessParams()
+    with pytest.raises(TrialTooShort) as batch:
+        windows_from_recording(rec, params, causal=True)
+    assert str(batch.value) == "trial at sample 1564 has 300 samples, window needs 512"
+    stream = stream_windows(rec, params)
+    assert next(stream).n_windows == 17
+    with pytest.raises(TrialTooShort) as streamed:
+        next(stream)
+    assert str(streamed.value) == str(batch.value)
 
 
 def test_windows_from_recording_no_trials():

@@ -14,8 +14,11 @@ from mi_decode.errors import (
     EmptyGrid,
     EmptyTrial,
     InvalidThreshold,
+    NonIntegerWindow,
     NoTrials,
+    TrialTooShort,
 )
+from mi_decode.evaluate import FeatureConfig, train_decoder
 from mi_decode.evidence import (
     EvidenceConfig,
     Outcome,
@@ -28,7 +31,7 @@ from mi_decode.evidence import (
 from mi_decode.session import ClassLabel, Recording, SessionKind
 from mi_decode.synth import generate_session
 
-from conftest import small_spec
+from conftest import noise_recording, small_spec, trial_events
 
 L = ClassLabel.Left.value
 R = ClassLabel.Right.value
@@ -522,6 +525,56 @@ def test_stream_requires_markers(small_decoder):
     )
     with pytest.raises(NoTrials):
         list(stream_replay(small_decoder, rec, EvidenceConfig(0.3, 0.1)))
+
+
+def _stream_and_batch_errors(decoder, rec, error):
+    """The errors of the batch causal replay, the report stream and the
+    event stream on one recording, each of class ``error``."""
+    cfg = EvidenceConfig(0.3, 0.1)
+    runs = (
+        lambda: replay_session(decoder, rec, cfg, causal=True),
+        lambda: stream_to_report(decoder, rec, cfg),
+        lambda: list(stream_replay(decoder, rec, cfg)),
+    )
+    messages = []
+    for run in runs:
+        with pytest.raises(error) as exc:
+            run()
+        messages.append(str(exc.value))
+    return messages
+
+
+def test_stream_refuses_a_trial_shorter_than_a_window(small_decoder):
+    session = generate_session(
+        small_spec(212, n_runs=1, trials_per_run=2, feedback_s=0.5), SessionKind.Online1
+    )
+    batch, report, events = _stream_and_batch_errors(
+        small_decoder, session.recording, TrialTooShort)
+    assert batch == report == events
+    assert "has 256 samples, window needs 512" in batch
+
+
+def test_stream_refuses_a_non_integer_window_step(small_offline):
+    # 0.0625 s is 31.25 samples at 500 Hz
+    decoder = train_decoder([small_offline], FeatureConfig(mode="psd"))
+    session = generate_session(
+        small_spec(213, n_runs=1, trials_per_run=2, fs=500.0), SessionKind.Online1
+    )
+    batch, report, events = _stream_and_batch_errors(
+        decoder, session.recording, NonIntegerWindow)
+    assert batch == report == events == (
+        "window step of 0.0625s is 31.25 samples at fs=500.0")
+
+
+def test_stream_raises_when_the_short_trial_arrives(small_decoder):
+    events = trial_events(100, ClassLabel.Left, 600) + trial_events(900, ClassLabel.Right, 300)
+    rec = noise_recording(1400, 13, 512.0, events=events, seed=214)
+    seen = []
+    with pytest.raises(TrialTooShort):
+        for ev in stream_replay(small_decoder, rec, EvidenceConfig(1.0, 0.01)):
+            seen.append(ev)
+    # the first trial's three windows, before the second trial arrives
+    assert [(ev.trial_index, ev.window_index) for ev in seen] == [(0, 1), (0, 2), (0, 3)]
 
 
 def test_realtime_stream_paces_events(small_decoder):

@@ -121,6 +121,8 @@ def test_malformed_json(tmp_path):
         lambda doc: doc.update(sensor="wet"),
         lambda doc: doc.update(session_kind="offline999"),
         lambda doc: doc["events"][0].update(kind="NotAKind"),
+        lambda doc: doc.update(fs=float("nan")),
+        lambda doc: doc.update(fs=float("inf")),
     ],
 )
 def test_bad_meta_fields(tmp_path, mutate):
@@ -159,6 +161,12 @@ def test_samples_are_read_only():
     rec = _recording()
     with pytest.raises(ValueError):
         rec.samples[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("fs", [0.0, -512.0, float("nan"), float("inf")])
+def test_bad_sampling_rate_rejected(fs):
+    with pytest.raises(ValueError):
+        _recording(fs=fs)
 
 
 def test_duplicate_channel_labels_rejected():
@@ -226,6 +234,13 @@ def test_import_csv_ragged_rows(tmp_path):
     path = _write_csv(tmp_path / "rec.csv", "a,b\n1,2\n3\n")
     with pytest.raises(RaggedRows):
         import_csv(path, fs=8.0)
+
+
+@pytest.mark.parametrize("header,fs", [("a,b", 0.0), ("a,b", float("nan")), ("a,a", 8.0)])
+def test_import_csv_refuses_what_a_recording_refuses(tmp_path, header, fs):
+    path = _write_csv(tmp_path / "rec.csv", header + "\n1,2\n3,4\n")
+    with pytest.raises(MalformedMeta):
+        import_csv(path, fs=fs)
 
 
 def test_import_csv_empty(tmp_path):
