@@ -9,7 +9,10 @@ field it fills, whose default it shares. Config files are checked under
 ``evaluate.json_setting``, the type rule ``decoder.json`` is loaded under
 too. Every report embeds the package version and a hash of the resolved
 settings; nothing reads the clock, so equal inputs give byte-identical
-reports.
+reports. Each ``cmd_*`` handler takes the parsed arguments and the resolved
+settings and returns only its report body; ``main`` resolves the settings,
+runs the handler, adds the envelope (command, version, config and
+config_hash) and emits the report, once for every subcommand.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 
 from .classify import FIT_FUNCTIONS
 from .dsp import PreprocessParams
-from .errors import DecodeError, MalformedMeta, MissingFile, MissingSession
+from .errors import DecodeError, IoFailure, MalformedMeta, MissingFile, MissingSession
 from .evaluate import (
     DEFAULT_SWEEP_KS,
     FEATURE_MODES,
@@ -137,14 +140,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags, refusing unknown config keys and
     values that json_setting refuses or that are not among a key's choices."""
     cfg = {s.key: s.default for s in SETTINGS}
-    path = getattr(args, "config", None)
-    if path:
-        path = Path(path)
+    if args.config:
+        path = Path(args.config)
         if not path.is_file():
             raise MissingFile(f"missing config file {path}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedMeta(f"{path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise MalformedMeta(f"{path}: config must be a JSON object")
@@ -197,10 +199,6 @@ def _report_doc(command: str, cfg: dict) -> dict:
     }
 
 
-def _scalar(v) -> str:
-    return json.dumps(v)
-
-
 def _render_lines(obj, indent: str = "") -> list[str]:
     lines: list[str] = []
     if isinstance(obj, dict):
@@ -212,13 +210,13 @@ def _render_lines(obj, indent: str = "") -> list[str]:
                 lines.append(f"{indent}{k}:")
                 lines.extend(_render_lines(v, indent + "  "))
             else:
-                lines.append(f"{indent}{k.ljust(width)}  {_scalar(v)}")
+                lines.append(f"{indent}{k.ljust(width)}  {json.dumps(v)}")
     elif isinstance(obj, list):
         if obj and all(isinstance(x, dict) for x in obj) and len(
             {tuple(sorted(x)) for x in obj}
         ) == 1:
             cols = sorted(obj[0])
-            rows = [[_scalar(x[c]) for c in cols] for x in obj]
+            rows = [[json.dumps(x[c]) for c in cols] for x in obj]
             widths = [
                 max(len(c), *(len(r[i]) for r in rows)) for i, c in enumerate(cols)
             ]
@@ -231,20 +229,26 @@ def _render_lines(obj, indent: str = "") -> list[str]:
                     lines.append(indent + "-")
                     lines.extend(_render_lines(x, indent + "  "))
                 else:
-                    lines.append(f"{indent}- {_scalar(x)}")
+                    lines.append(f"{indent}- {json.dumps(x)}")
     return lines
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "text", False):
+    if args.text:
         text = "\n".join(_render_lines(doc)) + "\n"
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    report = getattr(args, "report", None)
-    if report:
-        Path(report).write_text(text, encoding="utf-8")
+    if args.report:
+        _write(args.report, text)
     else:
         sys.stdout.write(text)
+
+
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _float_list(s: str) -> list[float]:
@@ -255,16 +259,12 @@ def _int_list(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x.strip()]
 
 
-def cmd_generate(args) -> None:
-    cfg = _resolve(args)
+def cmd_generate(args, cfg: dict) -> dict:
     paths = generate_study(_build(SynthSpec, cfg), args.out, online_runs=cfg["online_runs"])
-    doc = _report_doc("generate", cfg)
-    doc["sessions"] = {name: str(p) for name, p in paths.items()}
-    _emit(doc, args)
+    return {"sessions": {name: str(p) for name, p in paths.items()}}
 
 
-def cmd_import_csv(args) -> None:
-    cfg = _resolve(args)
+def cmd_import_csv(args, cfg: dict) -> dict:
     label_map = dict(DEFAULT_EVENT_CODES)
     if args.label_map:
         try:
@@ -291,81 +291,68 @@ def cmd_import_csv(args) -> None:
         n_runs=args.runs,
     )
     save_session(rec, meta, args.out)
-    doc = _report_doc("import-csv", cfg)
-    doc["session"] = {
-        "out": str(args.out),
-        "n_samples": rec.n_samples,
-        "n_channels": rec.n_channels,
-        "n_events": len(rec.events),
+    return {
+        "session": {
+            "out": str(args.out),
+            "n_samples": rec.n_samples,
+            "n_channels": rec.n_channels,
+            "n_events": len(rec.events),
+        }
     }
-    _emit(doc, args)
 
 
-def cmd_train(args) -> None:
-    cfg = _resolve(args)
+def cmd_train(args, cfg: dict) -> dict:
     params, feat = _pipeline(cfg)
     sessions = [load_session(p) for p in args.session]
     decoder = train_decoder(sessions, feat, params, cfg["classifier"])
     save_decoder(decoder, args.out)
-    doc = _report_doc("train", cfg)
-    doc["decoder"] = {
-        "out": str(args.out),
-        "provenance": decoder.provenance,
-        "n_features": decoder.clf.n_features,
+    return {
+        "decoder": {
+            "out": str(args.out),
+            "provenance": decoder.provenance,
+            "n_features": decoder.clf.n_features,
+        }
     }
-    _emit(doc, args)
 
 
-def cmd_eval_samples(args) -> None:
-    cfg = _resolve(args)
+def cmd_eval_samples(args, cfg: dict) -> dict:
     decoder = load_decoder(args.decoder)
     session = load_session(args.session)
-    doc = _report_doc("eval-samples", cfg)
-    doc["samples"] = eval_samples(decoder, session).to_dict()
-    doc["decoder_provenance"] = decoder.provenance
-    _emit(doc, args)
+    return {
+        "samples": eval_samples(decoder, session).to_dict(),
+        "decoder_provenance": decoder.provenance,
+    }
 
 
-def cmd_eval_trials(args) -> None:
-    cfg = _resolve(args)
+def cmd_eval_trials(args, cfg: dict) -> dict:
     decoder = load_decoder(args.decoder)
     session = load_session(args.session)
     report = replay_session(
         decoder, session.recording, _build(EvidenceConfig, cfg), causal=cfg["causal"]
     )
-    doc = _report_doc("eval-trials", cfg)
-    doc["trials"] = report.to_dict()
-    _emit(doc, args)
+    return {"trials": report.to_dict()}
 
 
-def cmd_pca_sweep(args) -> None:
-    cfg = _resolve(args)
+def cmd_pca_sweep(args, cfg: dict) -> dict:
     params, feat = _pipeline(cfg)
     session = load_session(args.session)
     ks = DEFAULT_SWEEP_KS if args.ks is None else args.ks
     sweep = pca_sweep(session, ks, feat, params, cfg["classifier"])
-    doc = _report_doc("pca-sweep", cfg)
-    doc["sweep"] = sweep.to_dict()
-    doc["sweep"]["folds"] = [rep.to_dict() for rep in sweep.reports]
-    _emit(doc, args)
+    return {"sweep": {**sweep.to_dict(), "folds": [rep.to_dict() for rep in sweep.reports]}}
 
 
-def cmd_grid_search(args) -> None:
-    cfg = _resolve(args)
+def cmd_grid_search(args, cfg: dict) -> dict:
     decoder = load_decoder(args.decoder)
     session = load_session(args.session)
     result = grid_search(
         decoder, session.recording, **_grid_settings(cfg), causal=cfg["causal"]
     )
     if args.csv:
-        Path(args.csv).write_text(result.to_csv(), encoding="utf-8")
-    doc = _report_doc("grid-search", cfg)
-    doc["grid"] = result.to_dict()
-    _emit(doc, args)
+        _write(args.csv, result.to_csv())
+    return {"grid": result.to_dict()}
 
 
-def cmd_replay(args) -> None:
-    cfg = _resolve(args)
+def cmd_replay(args, cfg: dict) -> dict:
     decoder = load_decoder(args.decoder)
     session = load_session(args.session)
     ev_cfg = _build(EvidenceConfig, cfg)
@@ -391,13 +378,10 @@ def cmd_replay(args) -> None:
         realtime=args.realtime,
         on_event=printer if args.events else None,
     )
-    doc = _report_doc("replay", cfg)
-    doc["trials"] = report.to_dict()
-    _emit(doc, args)
+    return {"trials": report.to_dict()}
 
 
-def cmd_repro(args) -> None:
-    cfg = _resolve(args)
+def cmd_repro(args, cfg: dict) -> dict:
     params, feat = _pipeline(cfg)
     kind = cfg["classifier"]
     study = Path(args.study)
@@ -433,12 +417,12 @@ def cmd_repro(args) -> None:
             }
         )
 
-    doc = _report_doc("repro", cfg)
-    doc["study"] = str(study)
-    doc["decoders"] = {"base": base.provenance, "tuned": tuned.provenance}
-    doc["samples"] = samples
-    doc["trials"] = trials
-    _emit(doc, args)
+    return {
+        "study": str(study),
+        "decoders": {"base": base.provenance, "tuned": tuned.provenance},
+        "samples": samples,
+        "trials": trials,
+    }
 
 
 def _add_output_opts(p: argparse.ArgumentParser) -> None:
@@ -471,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic offline/online study")
     p.add_argument("--out", required=True, help="study output directory")
-    _add_setting_flags(p, "generate")
-    _add_output_opts(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("import-csv", help="convert a numeric CSV to a session dir")
@@ -485,44 +467,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensor", choices=[s.name for s in Sensor], default="Gel")
     p.add_argument("--kind", choices=[k.name for k in SessionKind], default="Offline")
     p.add_argument("--runs", type=int, default=1)
-    _add_setting_flags(p, "import-csv")
-    _add_output_opts(p)
     p.set_defaults(func=cmd_import_csv)
 
     p = sub.add_parser("train", help="fit a decoder on one or more sessions")
     p.add_argument("--session", action="append", required=True,
                    help="session dir; repeat to train on a union")
     p.add_argument("--out", required=True, help="decoder output directory")
-    _add_setting_flags(p, "train")
-    _add_output_opts(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-samples", help="window-level accuracy of a decoder")
     p.add_argument("--decoder", required=True)
     p.add_argument("--session", required=True)
-    _add_output_opts(p)
     p.set_defaults(func=cmd_eval_samples)
 
     p = sub.add_parser("eval-trials", help="trial-level accumulation outcomes")
     p.add_argument("--decoder", required=True)
     p.add_argument("--session", required=True)
-    _add_setting_flags(p, "eval-trials")
-    _add_output_opts(p)
     p.set_defaults(func=cmd_eval_trials)
 
     p = sub.add_parser("pca-sweep", help="CV accuracy versus PCA component count")
     p.add_argument("--session", required=True)
     p.add_argument("--ks", type=_int_list, help="comma-separated component counts")
-    _add_setting_flags(p, "pca-sweep")
-    _add_output_opts(p)
     p.set_defaults(func=cmd_pca_sweep)
 
     p = sub.add_parser("grid-search", help="sweep evidence thresholds and steps")
     p.add_argument("--decoder", required=True)
     p.add_argument("--session", required=True)
     p.add_argument("--csv", help="also write the percentage matrix as CSV")
-    _add_setting_flags(p, "grid-search")
-    _add_output_opts(p)
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("replay", help="causal streamed replay of a session")
@@ -532,24 +503,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print one JSON line per consumed window")
     p.add_argument("--realtime", action="store_true",
                    help="sleep one window step between events")
-    _add_setting_flags(p, "replay")
-    _add_output_opts(p)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("repro", help="full offline->online workflow on a study dir")
     p.add_argument("--study", required=True,
                    help="directory holding offline/, online1/, online2/")
-    _add_setting_flags(p, "repro")
-    _add_output_opts(p)
     p.set_defaults(func=cmd_repro)
 
+    for command, p in sub.choices.items():
+        _add_setting_flags(p, command)
+        _add_output_opts(p)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        cfg = _resolve(args)
+        body = args.func(args, cfg)
+        _emit({**_report_doc(args.command, cfg), **body}, args)
     except DecodeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

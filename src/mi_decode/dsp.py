@@ -15,7 +15,7 @@ stacked copy only on request.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -333,7 +333,6 @@ class WindowSet:
     fs: float
     win_len: int
     win_step: int
-    _flat: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         signal = np.ascontiguousarray(self.signal, dtype=np.float64)
@@ -366,29 +365,27 @@ class WindowSet:
     def flattened(self) -> np.ndarray:
         """Windows as rows of channel-major blocks: [c0 t0..tW, c1 t0..tW, ...].
 
-        A 512-sample, 13-channel window flattens to 6656 features. Cached.
+        A 512-sample, 13-channel window flattens to 6656 features.
         The signal span the windows cover is transposed to channel-major
         once, so each row is gathered as n_channels contiguous runs.
         """
         n, w = self.n_windows, self.win_len
         if n == 0:
             return np.empty((0, self.n_channels * w))
-        if "X" not in self._flat:
-            lo, last = _start_range(self.starts)
-            by_channel = np.ascontiguousarray(self.signal[lo : last + w].T)
-            s_c, s_t = by_channel.strides
-            rows = np.ndarray(
-                (last - lo + 1, self.n_channels, w), by_channel.dtype,
-                buffer=by_channel, strides=(s_t, s_c, s_t),
-            )
-            self._flat["X"] = rows[self.starts - lo].reshape(n, -1)
-        return self._flat["X"]
+        lo, last = _start_range(self.starts)
+        by_channel = np.ascontiguousarray(self.signal[lo : last + w].T)
+        s_c, s_t = by_channel.strides
+        rows = np.ndarray(
+            (last - lo + 1, self.n_channels, w), by_channel.dtype,
+            buffer=by_channel, strides=(s_t, s_c, s_t),
+        )
+        return rows[self.starts - lo].reshape(n, -1)
 
     def __getitem__(self, rows: slice) -> WindowSet:
         """The windows in ``rows``, cut from this set's signal without a copy."""
         return replace(self, starts=self.starts[rows], labels=self.labels[rows],
                        trial_index=self.trial_index[rows],
-                       run_index=self.run_index[rows], _flat={})
+                       run_index=self.run_index[rows])
 
     def trial_slices(self) -> list[tuple[int, slice]]:
         """(trial_index, row slice) per trial, in temporal order."""

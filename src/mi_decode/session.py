@@ -291,8 +291,11 @@ def import_csv(
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"missing {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise MalformedMeta(f"{path}: {exc}") from exc
     if not rows:
         raise RaggedRows(f"{path}: empty file")
 

@@ -697,3 +697,63 @@ def test_pca_sweep_empty_ks_exits_1(cli_env, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     # not the default ks, which stop at k=1600 on this small session
     assert err == ["error: BadK: sweep needs at least one k"]
+
+
+# --- unwritable output and non-UTF-8 input ----------------------------------
+
+
+def _small_argv(command, study, decoder, tmp_path):
+    """A quick run of ``command`` on the module's study and decoder."""
+    csv_path = tmp_path / "rec.csv"
+    _write_csv(csv_path)
+    on_session = ["--decoder", str(decoder), "--session", str(study / "online1")]
+    return [command] + {
+        "generate": ["--out", str(tmp_path / "study")] + GENERATE_ARGS,
+        "import-csv": ["--csv", str(csv_path), "--out", str(tmp_path / "sess"), "--fs", "16"],
+        "train": ["--session", str(study / "offline"), "--out", str(tmp_path / "dec"),
+                  "--mode", "psd"],
+        "eval-samples": on_session,
+        "eval-trials": on_session,
+        "pca-sweep": ["--session", str(study / "offline"), "--ks", "8", "--mode", "psd+pca"],
+        "grid-search": on_session + ["--thresholds", "0.3", "--steps", "0.1"],
+        "replay": on_session,
+        "repro": ["--study", str(study)] + REPRO_ARGS,
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["generate", "import-csv", "train", "eval-samples", "eval-trials", "pca-sweep",
+     "grid-search", "replay", "repro"],
+)
+def test_report_into_missing_directory_exits_1(cli_env, tmp_path, capsys, command):
+    _, study, decoder = cli_env
+    report = tmp_path / "missing" / "report.json"
+    rc = main(_small_argv(command, study, decoder, tmp_path) + ["--report", str(report)])
+    _single_error(capsys, rc, "IoFailure")
+    assert not report.exists()
+
+
+def test_grid_search_csv_into_missing_directory_exits_1(cli_env, tmp_path, capsys):
+    _, study, decoder = cli_env
+    csv_path = tmp_path / "missing" / "grid.csv"
+    argv = _small_argv("grid-search", study, decoder, tmp_path) + ["--csv", str(csv_path)]
+    _single_error(capsys, main(argv), "IoFailure")
+
+
+def test_config_file_not_utf8_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'\xff{"seed": 3}')
+    out = tmp_path / "study"
+    rc = main(["generate", "--out", str(out), "--config", str(cfg_path)])
+    _single_error(capsys, rc, "MalformedMeta")
+    assert not out.exists()
+
+
+def test_import_csv_not_utf8_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "rec.csv"
+    csv_path.write_bytes(b"a,b\n1.0,2.0\n3.0,\xff\n")
+    out = tmp_path / "sess"
+    rc = main(["import-csv", "--csv", str(csv_path), "--out", str(out), "--fs", "8"])
+    _single_error(capsys, rc, "MalformedMeta")
+    assert not out.exists()

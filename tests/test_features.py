@@ -316,7 +316,7 @@ def _window_set(n_samples=2496, n_ch=3, seed=4214, label=ClassLabel.Left):
 def test_flatten_windows_carries_provenance():
     ws = _window_set()
     fm = flatten_windows(ws)
-    assert fm.X is ws.flattened()
+    assert np.array_equal(fm.X, ws.flattened())
     assert fm.n_features == 512 * 3
     assert np.array_equal(fm.labels, ws.labels)
     assert np.array_equal(fm.trial_index, ws.trial_index)
