@@ -26,20 +26,14 @@ dot. The decoder rescores every other row on the two-step path.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IoFailure,
-    MalformedMeta,
-    MissingFile,
-    SingleClass,
-)
+from . import store
+from .errors import DimensionMismatch, MalformedMeta, SingleClass
 from .session import ClassLabel
 
 SV_CUTOFF = 1e-12  # relative singular-value cutoff for the scatter pseudo-inverse
@@ -249,42 +243,40 @@ MODEL_NAME = "lda.json"
 
 def save_classifier(clf: LinearClassifier, path, pca_id: str | None) -> None:
     """Write lda.json; pca_id records the feature transform this model is paired with."""
-    path = Path(path)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "kind": clf.kind,
-            "k": clf.n_features,
-            "weights": [float(v) for v in clf.weights],
-            "bias": clf.bias,
-            "class_means": [[float(v) for v in row] for row in clf.class_means],
-            "priors": [float(v) for v in clf.priors],
-            "pca_id": pca_id,
-        }
-        (path / MODEL_NAME).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write classifier to {path}: {exc}") from exc
+    path = store.make_dir(path)
+    store.write_json(path / MODEL_NAME, {
+        "kind": clf.kind,
+        "k": clf.n_features,
+        "weights": [float(v) for v in clf.weights],
+        "bias": clf.bias,
+        "class_means": [[float(v) for v in row] for row in clf.class_means],
+        "priors": [float(v) for v in clf.priors],
+        "pca_id": pca_id,
+    })
+
+
+MODEL_FIELDS = {"kind": "", "k": 0, "weights": [0.0], "bias": 0.0, "class_means": [[0.0]],
+                "priors": [0.0]}
 
 
 def load_classifier(path) -> tuple[LinearClassifier, str | None]:
-    path = Path(path)
-    model_path = path / MODEL_NAME
-    if not model_path.is_file():
-        raise MissingFile(f"missing {model_path}")
-    try:
-        doc = json.loads(model_path.read_text(encoding="utf-8"))
-        clf = LinearClassifier(
-            kind=doc["kind"],
-            weights=np.array(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            class_means=np.array(doc["class_means"], dtype=np.float64),
-            priors=np.array(doc["priors"], dtype=np.float64),
+    model_path = Path(path) / MODEL_NAME
+    doc = store.read_json(model_path)
+    f = store.read_fields(doc, MODEL_FIELDS, model_path)
+    pid = doc.get("pca_id")  # null for a mode without PCA
+    if pid is not None:
+        store.json_setting(pid, "", f"{model_path} 'pca_id'")
+    k = f["k"]
+    sizes = (len(f["weights"]), [len(row) for row in f["class_means"]], len(f["priors"]))
+    if sizes != (k, [k, k], 2):
+        raise MalformedMeta(
+            f"{model_path}: weights, class_means and priors of sizes {sizes} for k={k}"
         )
-        pid = doc.get("pca_id")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise MalformedMeta(f"{model_path}: {exc}") from exc
-    if clf.weights.ndim != 1:
-        raise MalformedMeta(f"{model_path}: weights must be a flat list")
+    clf = LinearClassifier(
+        kind=f["kind"],
+        weights=np.array(f["weights"], dtype=np.float64),
+        bias=f["bias"],
+        class_means=np.array(f["class_means"], dtype=np.float64),
+        priors=np.array(f["priors"], dtype=np.float64),
+    )
     return clf, pid

@@ -5,10 +5,10 @@ pca-sweep, grid-search, replay, repro. Settings resolve in three layers:
 built-in defaults, then a flat JSON config file (--config), then explicit
 flags. One table, ``SETTINGS``, lists every setting once: its config key,
 its flag, the subcommands that take the flag and the settings-dataclass
-field it fills, whose default it shares. Config files are checked under
-``evaluate.json_setting``, the type rule ``decoder.json`` is loaded under
-too. Every report embeds the package version and a hash of the resolved
-settings; nothing reads the clock, so equal inputs give byte-identical
+field it fills, whose default it shares. Config files are read like every
+JSON file of the package, by ``store`` under ``store.json_setting``. Every
+report embeds the package version and a hash of the resolved settings;
+nothing reads the clock, so equal inputs give byte-identical
 reports. Each ``cmd_*`` handler takes the parsed arguments and the resolved
 settings and returns only its report body; ``main`` resolves the settings,
 runs the handler, adds the envelope (command, version, config and
@@ -18,21 +18,21 @@ config_hash) and emits the report, once for every subcommand.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import store
 from .classify import FIT_FUNCTIONS
 from .dsp import PreprocessParams
-from .errors import DecodeError, IoFailure, MalformedMeta, MissingFile, MissingSession
+from .errors import DecodeError, MalformedMeta, MissingSession
 from .evaluate import (
     DEFAULT_SWEEP_KS,
     FEATURE_MODES,
     FeatureConfig,
     eval_samples,
-    json_setting,
     load_decoder,
     pca_sweep,
     save_decoder,
@@ -49,6 +49,7 @@ from .evidence import (
 )
 from .features import WelchSpec
 from .session import (
+    META_NAME,
     EventKind,
     Sensor,
     SessionKind,
@@ -141,13 +142,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     values that json_setting refuses or that are not among a key's choices."""
     cfg = {s.key: s.default for s in SETTINGS}
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise MissingFile(f"missing config file {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise MalformedMeta(f"{path}: {exc}") from exc
+        path = args.config
+        doc = store.read_json(path)
         if not isinstance(doc, dict):
             raise MalformedMeta(f"{path}: config must be a JSON object")
         unknown = sorted(set(doc) - set(cfg))
@@ -157,7 +153,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             if s.key not in doc:
                 continue
             where = f"{path}: config key {s.key!r}"
-            json_setting(doc[s.key], s.default, where)
+            store.json_setting(doc[s.key], s.default, where)
             if s.choices is not None and doc[s.key] not in s.choices:
                 raise MalformedMeta(
                     f"{where} must be one of {list(s.choices)}, got {json.dumps(doc[s.key])}"
@@ -173,7 +169,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _build(cls, cfg: dict, **known):
     """``cls`` from the resolved settings that fill its fields."""
     return cls(**known, **{
-        s.field: json_setting(cfg[s.key], s.default, s.key)
+        s.field: store.json_setting(cfg[s.key], s.default, s.key)
         for s in SETTINGS if s.cls is cls
     })
 
@@ -190,11 +186,10 @@ def _pipeline(cfg: dict) -> tuple[PreprocessParams, FeatureConfig]:
 
 
 def _report_doc(command: str, cfg: dict) -> dict:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return {
         "command": command,
         "version": __version__,
-        "config_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
+        "config_hash": store.json_hash(cfg),
         "config": cfg,
     }
 
@@ -234,21 +229,11 @@ def _render_lines(obj, indent: str = "") -> list[str]:
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    if args.text:
-        text = "\n".join(_render_lines(doc)) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = "\n".join(_render_lines(doc)) + "\n" if args.text else store.json_text(doc)
     if args.report:
-        _write(args.report, text)
+        store.write(args.report, text)
     else:
         sys.stdout.write(text)
-
-
-def _write(path, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _float_list(s: str) -> list[float]:
@@ -348,7 +333,7 @@ def cmd_grid_search(args, cfg: dict) -> dict:
         decoder, session.recording, **_grid_settings(cfg), causal=cfg["causal"]
     )
     if args.csv:
-        _write(args.csv, result.to_csv())
+        store.write(args.csv, result.to_csv())
     return {"grid": result.to_dict()}
 
 
@@ -358,18 +343,9 @@ def cmd_replay(args, cfg: dict) -> dict:
     ev_cfg = _build(EvidenceConfig, cfg)
 
     def printer(ev):
-        sys.stdout.write(
-            json.dumps(
-                {
-                    "trial": ev.trial_index,
-                    "window": ev.window_index,
-                    "ev": ev.evidence,
-                    "state": ev.state,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        line = {"trial": ev.trial_index, "window": ev.window_index, "ev": ev.evidence,
+                "state": ev.state}
+        sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
 
     report = stream_to_report(
         decoder,
@@ -388,7 +364,7 @@ def cmd_repro(args, cfg: dict) -> dict:
     sessions = {}
     for name in ("offline", "online1", "online2"):
         path = study / name
-        if not (path / "meta.json").is_file():
+        if not (path / META_NAME).is_file():
             raise MissingSession(f"study at {study} has no {name!r} session")
         sessions[name] = load_session(path)
 
@@ -522,8 +498,15 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         body = args.func(args, cfg)
         _emit({**_report_doc(args.command, cfg), **body}, args)
+        sys.stdout.flush()
     except DecodeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout went away (``replay --events | head -1``):
+        # point stdout at devnull so that the interpreter's last flush
+        # cannot fail again, and exit quietly (the signal module's recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

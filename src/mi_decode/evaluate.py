@@ -10,8 +10,6 @@ accuracy. Any PCA is refit inside each fold on the training runs only.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -26,16 +24,9 @@ from .classify import (
     load_classifier,
     save_classifier,
 )
+from . import store
 from .dsp import PreprocessParams, WindowSet, windows_from_recording
-from .errors import (
-    BadK,
-    DimensionMismatch,
-    IoFailure,
-    LayoutMismatch,
-    MalformedMeta,
-    MissingFile,
-    TooFewRuns,
-)
+from .errors import BadK, DimensionMismatch, LayoutMismatch, MalformedMeta, TooFewRuns
 from .features import (
     FeatureMatrix,
     PcaTransform,
@@ -124,16 +115,10 @@ def fit_pipeline(raw_X: np.ndarray, config: FeatureConfig) -> FeaturePipeline:
     return FeaturePipeline(config=config, pca=pca)
 
 
-def config_hash(
-    params: PreprocessParams, config: FeatureConfig, clf_kind: str
-) -> str:
-    doc = {
-        "preprocess": params.to_dict(),
-        "features": config.to_dict(),
-        "classifier": clf_kind,
-    }
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+def config_hash(params: PreprocessParams, config: FeatureConfig, clf_kind: str) -> str:
+    return store.json_hash(
+        {"preprocess": params.to_dict(), "features": config.to_dict(), "classifier": clf_kind}
+    )
 
 
 @dataclass(frozen=True)
@@ -153,10 +138,6 @@ class Decoder:
         """PCA and classifier as one raw-row score; derived, never saved."""
         pca = self.pipeline.pca
         return None if pca is None else self.clf.fold(pca.mean, pca.components)
-
-    def score_windows(self, ws: WindowSet) -> np.ndarray:
-        """Two-step scores: the PCA projection, then the classifier."""
-        return self.clf.score(self.pipeline.transform(ws))
 
     @functools.cached_property
     def _block_weights(self) -> dict:
@@ -456,82 +437,43 @@ DECODER_META_NAME = "decoder.json"
 
 def save_decoder(decoder: Decoder, path) -> None:
     """Write a decoder directory: decoder.json, lda.json, pca.json/pca.f32le."""
-    path = Path(path)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {path}: {exc}") from exc
+    path = store.make_dir(path)
     pid = None
     if decoder.pipeline.pca is not None:
         save_pca(decoder.pipeline.pca, path)
         pid = pca_id(decoder.pipeline.pca)
     save_classifier(decoder.clf, path, pid)
-    doc = {
+    store.write_json(path / DECODER_META_NAME, {
         "preprocess": decoder.params.to_dict(),
         "features": decoder.pipeline.config.to_dict(),
         "classifier": decoder.clf.kind,
         "provenance": decoder.provenance,
-    }
-    try:
-        (path / DECODER_META_NAME).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path / DECODER_META_NAME}: {exc}") from exc
-
-
-def json_setting(value, default, where: str):
-    """``value``, read from JSON, as a setting whose default is ``default``.
-
-    The one type rule of ``--config`` files and ``decoder.json``: the value
-    has its default's JSON type, except that an int may stand for a float
-    (and is returned as one); a bool never stands for a number, and a list
-    holds numbers. Anything else raises MalformedMeta.
-    """
-    if isinstance(default, list):
-        ok = isinstance(value, list) and all(type(v) in (int, float) for v in value)
-    elif isinstance(default, float):
-        ok = type(value) in (int, float)
-    else:
-        ok = type(value) is type(default)
-    if not ok:
-        raise MalformedMeta(
-            f"{where} needs the JSON type of its default {json.dumps(default)}, "
-            f"got {json.dumps(value)}"
-        )
-    if isinstance(default, float):
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise MalformedMeta(f"{where}: {exc}") from exc
-    return value
+    })
 
 
 def _from_json(cls, doc: dict, where: str, **known):
     """``cls`` from ``doc``'s value for each field not ``known``, under json_setting."""
-    return cls(**known, **{
-        f.name: json_setting(doc[f.name], f.default, f"{where} {f.name!r}")
-        for f in fields(cls) if f.name not in known
-    })
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in known}
+    return cls(**known, **store.read_fields(doc, defaults, where))
+
+
+DECODER_FIELDS = {"preprocess": {}, "features": {}, "provenance": {}}
 
 
 def load_decoder(path) -> Decoder:
     """Load a decoder directory, checking the classifier/PCA pairing."""
     path = Path(path)
     meta_path = path / DECODER_META_NAME
-    if not meta_path.is_file():
-        raise MissingFile(f"missing {meta_path}")
+    doc = store.read_fields(store.read_json(meta_path), DECODER_FIELDS, meta_path)
+    features = doc["features"]
+    where = f"{meta_path}: features"
     try:
-        doc = json.loads(meta_path.read_text(encoding="utf-8"))
         params = _from_json(PreprocessParams, doc["preprocess"], f"{meta_path}: preprocess")
-        features = doc["features"]
-        where = f"{meta_path}: features"
         known = {"welch": _from_json(WelchSpec, features, where)}
-        if features["k"] is None:  # saved for modes without PCA
+        if features.get("k", 0) is None:  # saved for modes without PCA
             known["k"] = None
         config = _from_json(FeatureConfig, features, where, **known)
-        provenance = dict(doc["provenance"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise MalformedMeta(f"{meta_path}: {exc}") from exc
 
     clf, stored_pid = load_classifier(path)
@@ -551,5 +493,5 @@ def load_decoder(path) -> Decoder:
         params=params,
         pipeline=FeaturePipeline(config=config, pca=pca),
         clf=clf,
-        provenance=provenance,
+        provenance=doc["provenance"],
     )

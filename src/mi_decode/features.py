@@ -19,22 +19,14 @@ the signal that overlapping windows share, without flattening them.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import (
-    BadK,
-    DimensionMismatch,
-    IoFailure,
-    MalformedMeta,
-    MissingFile,
-    WindowTooShort,
-)
+from . import store
+from .errors import BadK, DimensionMismatch, MalformedMeta, WindowTooShort
 from .dsp import WindowSet
 
 
@@ -380,55 +372,37 @@ PCA_PAYLOAD_NAME = "pca.f32le"
 
 def pca_id(t: PcaTransform) -> str:
     """Content hash of the serialized components; pairs a model to its PCA."""
-    payload = np.ascontiguousarray(t.components, dtype="<f4").tobytes()
-    return hashlib.sha256(payload).hexdigest()
+    return store.f32_hash(t.components)
 
 
 def save_pca(t: PcaTransform, path) -> None:
     """Write pca.json (mean, ratios, shape) + pca.f32le (components, row-major)."""
-    path = Path(path)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "k": t.k,
-            "d": t.d,
-            "mean": [float(v) for v in t.mean],
-            "explained_variance_ratio": [float(v) for v in t.explained_variance_ratio],
-        }
-        (path / PCA_META_NAME).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (path / PCA_PAYLOAD_NAME).write_bytes(
-            np.ascontiguousarray(t.components, dtype="<f4").tobytes()
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write PCA to {path}: {exc}") from exc
+    path = store.make_dir(path)
+    store.write_json(path / PCA_META_NAME, {
+        "k": t.k,
+        "d": t.d,
+        "mean": [float(v) for v in t.mean],
+        "explained_variance_ratio": [float(v) for v in t.explained_variance_ratio],
+    })
+    store.write_f32(path / PCA_PAYLOAD_NAME, t.components)
+
+
+PCA_FIELDS = {"k": 0, "d": 0, "mean": [0.0], "explained_variance_ratio": [0.0]}
 
 
 def load_pca(path) -> PcaTransform:
-    path = Path(path)
-    meta_path = path / PCA_META_NAME
-    payload_path = path / PCA_PAYLOAD_NAME
-    if not meta_path.is_file() or not payload_path.is_file():
-        raise MissingFile(f"no PCA files under {path}")
-    try:
-        doc = json.loads(meta_path.read_text(encoding="utf-8"))
-        k, d = int(doc["k"]), int(doc["d"])
-        mean = np.array(doc["mean"], dtype=np.float64)
-        ratios = np.array(doc["explained_variance_ratio"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise MalformedMeta(f"{meta_path}: {exc}") from exc
+    meta_path = Path(path) / PCA_META_NAME
+    doc = store.read_fields(store.read_json(meta_path), PCA_FIELDS, meta_path)
+    k, d = doc["k"], doc["d"]
+    mean = np.array(doc["mean"], dtype=np.float64)
+    ratios = np.array(doc["explained_variance_ratio"], dtype=np.float64)
     if mean.shape != (d,) or ratios.shape != (k,):
-        raise MalformedMeta(
-            f"{meta_path}: k={k}, d={d} but mean has shape {mean.shape} "
-            f"and explained_variance_ratio {ratios.shape}"
-        )
-    raw = payload_path.read_bytes()
-    if len(raw) != 4 * k * d:
-        raise DimensionMismatch(
-            f"{payload_path}: {len(raw)} bytes for k={k}, d={d}"
-        )
-    components = np.frombuffer(raw, dtype="<f4").reshape(k, d).astype(np.float64)
+        raise MalformedMeta(f"{meta_path}: k={k}, d={d} but mean has shape {mean.shape} "
+                            f"and explained_variance_ratio {ratios.shape}")
+    payload_path = Path(path) / PCA_PAYLOAD_NAME
+    components = store.read_f32(payload_path, (k, d), DimensionMismatch)
+    if not np.isfinite(components).all():
+        raise MalformedMeta(f"{payload_path}: a component holds NaN or Inf")
     return PcaTransform(
         mean=mean, components=components, explained_variance_ratio=ratios, k=k
     )

@@ -1,22 +1,17 @@
 """Session data model and its on-disk representation.
 
-A session directory holds two files:
-
-  meta.json     UTF-8 JSON: subject, sensor, session_kind, fs, n_samples,
-                n_channels, channel_labels, n_runs and the event list.
-  samples.f32le raw little-endian binary32, sample-major interleaved
-                (s0c0 s0c1 ... s0cN s1c0 ...), exactly
-                4 * n_samples * n_channels bytes.
-
-Samples are promoted to float64 on load; binary32 on disk is for compactness
-only, so a recording round-trips bit-exactly once its values are
-binary32-representable.
+A session directory holds meta.json (subject, sensor, session_kind, fs,
+n_samples, n_channels, channel_labels, n_runs and the event list) and
+samples.f32le, the (n_samples, n_channels) sample matrix, in the encodings
+``store`` describes. Samples are promoted to float64 on load; binary32 on
+disk is for compactness only, so a recording round-trips bit-exactly once
+its values are binary32-representable.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -25,11 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import store
 from .errors import (
-    IoFailure,
     LengthMismatch,
     MalformedMeta,
-    MissingFile,
     NonFiniteSample,
     NonNumericCell,
     RaggedRows,
@@ -43,9 +37,6 @@ class ClassLabel(Enum):
 
     Left = 0
     Right = 1
-
-    def flipped(self) -> "ClassLabel":
-        return ClassLabel.Right if self is ClassLabel.Left else ClassLabel.Left
 
 
 class EventKind(Enum):
@@ -165,35 +156,22 @@ SAMPLES_NAME = "samples.f32le"
 
 def save_session(rec: Recording, meta: SessionMeta, path) -> None:
     """Write a session directory (meta.json + samples.f32le)."""
-    path = Path(path)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "subject": meta.subject,
-            "sensor": meta.sensor.value,
-            "session_kind": meta.session_kind.value,
-            "fs": rec.fs,
-            "n_samples": rec.n_samples,
-            "n_channels": rec.n_channels,
-            "channel_labels": list(rec.channel_labels),
-            "n_runs": meta.n_runs,
-            "events": [
-                {
-                    "sample_index": ev.sample_index,
-                    "kind": ev.kind.value,
-                    "run_index": ev.run_index,
-                }
-                for ev in rec.events
-            ],
-        }
-        (path / META_NAME).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (path / SAMPLES_NAME).write_bytes(
-            np.ascontiguousarray(rec.samples, dtype="<f4").tobytes()
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write session to {path}: {exc}") from exc
+    path = store.make_dir(path)
+    store.write_json(path / META_NAME, {
+        "subject": meta.subject,
+        "sensor": meta.sensor.value,
+        "session_kind": meta.session_kind.value,
+        "fs": rec.fs,
+        "n_samples": rec.n_samples,
+        "n_channels": rec.n_channels,
+        "channel_labels": list(rec.channel_labels),
+        "n_runs": meta.n_runs,
+        "events": [
+            {"sample_index": ev.sample_index, "kind": ev.kind.value, "run_index": ev.run_index}
+            for ev in rec.events
+        ],
+    })
+    store.write_f32(path / SAMPLES_NAME, rec.samples)
 
 
 def _check_finite(samples: np.ndarray, source) -> None:
@@ -206,71 +184,53 @@ def _check_finite(samples: np.ndarray, source) -> None:
         )
 
 
+# the fields of meta.json and of each of its events, each with a value of
+# the JSON type store.json_setting holds it to
+META_FIELDS = {"subject": "", "sensor": "", "session_kind": "", "fs": 0.0, "n_samples": 0,
+               "n_channels": 0, "channel_labels": [""], "n_runs": 0, "events": [{}]}
+EVENT_FIELDS = {"sample_index": 0, "kind": "", "run_index": 0}
+
+
 def load_session(path) -> Session:
     """Load a session directory written by save_session."""
     path = Path(path)
     meta_path = path / META_NAME
-    samples_path = path / SAMPLES_NAME
-    if not meta_path.is_file():
-        raise MissingFile(f"missing {meta_path}")
-    if not samples_path.is_file():
-        raise MissingFile(f"missing {samples_path}")
-
+    doc = store.read_fields(store.read_json(meta_path), META_FIELDS, meta_path)
+    events = [
+        store.read_fields(ev, EVENT_FIELDS, f"{meta_path}: event {i}")
+        for i, ev in enumerate(doc["events"])
+    ]
     try:
-        doc = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedMeta(f"{meta_path}: {exc}") from exc
-
-    try:
-        fs = float(doc["fs"])
-        n_samples = int(doc["n_samples"])
-        n_channels = int(doc["n_channels"])
-        channel_labels = tuple(str(x) for x in doc["channel_labels"])
         events = tuple(
-            EventMarker(
-                sample_index=int(ev["sample_index"]),
-                kind=EventKind(ev["kind"]),
-                run_index=int(ev["run_index"]),
-            )
-            for ev in doc["events"]
+            EventMarker(ev["sample_index"], EventKind(ev["kind"]), ev["run_index"])
+            for ev in events
         )
         meta = SessionMeta(
-            subject=str(doc["subject"]),
+            subject=doc["subject"],
             sensor=Sensor(doc["sensor"]),
             session_kind=SessionKind(doc["session_kind"]),
-            fs=fs,
-            channel_labels=channel_labels,
-            n_runs=int(doc["n_runs"]),
+            fs=doc["fs"],
+            channel_labels=doc["channel_labels"],
+            n_runs=doc["n_runs"],
         )
-    except UnsortedEvents:
-        raise
-    except (KeyError, TypeError, ValueError, MalformedMeta) as exc:
+    except (ValueError, MalformedMeta) as exc:
         raise MalformedMeta(f"{meta_path}: {exc}") from exc
 
-    raw = samples_path.read_bytes()
-    expected = 4 * n_samples * n_channels
-    if len(raw) != expected:
-        raise LengthMismatch(
-            f"{samples_path}: {len(raw)} bytes, expected {expected} "
-            f"(4 * {n_samples} * {n_channels})"
-        )
-    samples = (
-        np.frombuffer(raw, dtype="<f4")
-        .reshape(n_samples, n_channels)
-        .astype(np.float64)
+    samples_path = path / SAMPLES_NAME
+    samples = store.read_f32(
+        samples_path, (doc["n_samples"], doc["n_channels"]), LengthMismatch
     )
     _check_finite(samples, samples_path)
     try:
         rec = Recording(
-            samples=samples, fs=fs, channel_labels=channel_labels, events=events
+            samples=samples, fs=meta.fs, channel_labels=meta.channel_labels, events=events
         )
     except ValueError as exc:
         raise MalformedMeta(f"{meta_path}: {exc}") from exc
-    run_refs = {ev.run_index for ev in events}
-    if run_refs and max(run_refs) >= meta.n_runs:
+    last_run = max((ev.run_index for ev in events), default=-1)
+    if last_run >= meta.n_runs:
         raise MalformedMeta(
-            f"{meta_path}: event references run {max(run_refs)} "
-            f"but n_runs is {meta.n_runs}"
+            f"{meta_path}: event references run {last_run} but n_runs is {meta.n_runs}"
         )
     return Session(rec, meta)
 
@@ -288,14 +248,7 @@ def import_csv(
     nonzero codes are mapped to marker kinds through label_map. Imported
     markers all land on run 0; run structure of external data is unknown.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"missing {path}")
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise MalformedMeta(f"{path}: {exc}") from exc
+    rows = list(csv.reader(io.StringIO(store.read_text(path), newline="")))
     if not rows:
         raise RaggedRows(f"{path}: empty file")
 

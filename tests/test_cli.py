@@ -1,11 +1,17 @@
-"""End-to-end command-line workflows (in-process, no subprocesses)."""
+"""End-to-end command-line workflows (in-process; one test of a closed
+stdout pipe runs the CLI as a process)."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mi_decode
 from mi_decode.cli import main
 from mi_decode.session import EventKind, SessionKind, load_session, save_session
 from mi_decode.synth import SynthSpec, generate_session
@@ -191,6 +197,26 @@ def test_replay_event_lines(cli_env, tmp_path, capsys):
     assert all(set(ev) == {"trial", "window", "ev", "state"} for ev in events)
     finals = [ev for ev in events if ev["state"] != "accumulating"]
     assert len(finals) == len(stops)
+
+
+def test_replay_events_into_a_closed_pipe_exits_quietly(cli_env):
+    # ``replay --events | head -1``: the reader closes the pipe after one
+    # line. Unbuffered and paced, the process is sure to write again after
+    # the close, and must then exit 1 without a traceback.
+    _, study, decoder = cli_env
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(mi_decode.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mi_decode.cli", "replay", "--decoder", str(decoder),
+         "--session", str(study / "online2"), "--events", "--realtime"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert set(json.loads(first)) == {"trial", "window", "ev", "state"}
+    assert err == b""
 
 
 def test_pca_sweep_command(cli_env, capsys):

@@ -352,8 +352,8 @@ def test_decoder_round_trip(small_decoder, small_online, tmp_path):
     assert back.provenance == small_decoder.provenance
 
     ws = small_decoder.windows(small_online.recording)
-    s_orig = small_decoder.score_windows(ws)
-    s_back = back.score_windows(ws)
+    s_orig = small_decoder.clf.score(small_decoder.pipeline.transform(ws))
+    s_back = back.clf.score(back.pipeline.transform(ws))
     # PCA components travel as float32; scores agree to that precision
     assert np.allclose(s_back, s_orig, rtol=1e-4, atol=1e-6)
     agree = np.mean(back.predict_windows(ws) == small_decoder.predict_windows(ws))

@@ -17,7 +17,6 @@ from mi_decode.errors import (
 from mi_decode.session import (
     META_NAME,
     SAMPLES_NAME,
-    ClassLabel,
     EventKind,
     EventMarker,
     Recording,
@@ -177,11 +176,6 @@ def test_duplicate_channel_labels_rejected():
             channel_labels=("a", "a"),
             events=(),
         )
-
-
-def test_class_label_flip():
-    assert ClassLabel.Left.flipped() is ClassLabel.Right
-    assert ClassLabel.Right.flipped() is ClassLabel.Left
 
 
 # --- CSV import -------------------------------------------------------------
