@@ -157,11 +157,6 @@ def _class_rows(X: np.ndarray, y: np.ndarray):
     return X, left, right
 
 
-def _split_classes(X: np.ndarray, y: np.ndarray):
-    X, left, right = _class_rows(X, y)
-    return X, X[left], X[right]
-
-
 def lda_fit(X: np.ndarray, y: np.ndarray, sv_cutoff: float = SV_CUTOFF) -> LinearClassifier:
     """Fit the shared-covariance linear discriminant.
 
@@ -214,12 +209,12 @@ def centroid_fit(X: np.ndarray, y: np.ndarray) -> LinearClassifier:
     score(x) = (|x - mu_L|^2 - |x - mu_R|^2) / 2, which is linear:
     (mu_R - mu_L) . x + (|mu_L|^2 - |mu_R|^2) / 2.
     """
-    X, Xl, Xr = _split_classes(X, y)
-    mu_l = Xl.mean(axis=0)
-    mu_r = Xr.mean(axis=0)
+    X, left, right = _class_rows(X, y)
+    mu_l = X[left].mean(axis=0)
+    mu_r = X[right].mean(axis=0)
     w = mu_r - mu_l
     bias = float(mu_l @ mu_l - mu_r @ mu_r) / 2.0
-    priors = np.array([len(Xl) / len(X), len(Xr) / len(X)])
+    priors = np.array([len(left) / len(X), len(right) / len(X)])
     return LinearClassifier(
         kind="centroid",
         weights=w,

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -271,8 +272,6 @@ def cmd_import_csv(args, cfg: dict) -> dict:
         subject=args.subject,
         sensor=Sensor[args.sensor],
         session_kind=SessionKind[args.kind],
-        fs=rec.fs,
-        channel_labels=rec.channel_labels,
         n_runs=args.runs,
     )
     save_session(rec, meta, args.out)
@@ -492,13 +491,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, *_):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-        body = args.func(args, cfg)
-        _emit({**_report_doc(args.command, cfg), **body}, args)
-        sys.stdout.flush()
+        # one "warning: <Type>: <message>" line per warning, with no source
+        # line; catch_warnings restores the process's own printer on return
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            cfg = _resolve(args)
+            body = args.func(args, cfg)
+            _emit({**_report_doc(args.command, cfg), **body}, args)
+            sys.stdout.flush()
     except DecodeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -9,9 +9,10 @@ decimal arithmetic demands — a plain float running sum gets this wrong
 because 0.1 * 3 > 0.3 in binary floating point.
 
 Batch replay, grid search and the streamed replay share one decision loop
-(``_walk``), so a tuned (threshold, step) decides live exactly as it did
-offline; the stream takes its windows from ``dsp.stream_windows``, so a
-trial the batch path refuses fails in the stream when it arrives. Each
+(``_walk``), the only code that ends a trial and builds its outcome, so a
+tuned (threshold, step) decides live exactly as it did offline; the
+stream takes its windows from ``dsp.stream_windows``, so a trial the
+batch path refuses fails in the stream when it arrives. Each
 evidence value is the exact decimal ``net * step`` rounded once to a
 float, computed by integer true division.
 """
@@ -89,27 +90,35 @@ class EvidenceOutcome:
 
 
 def _walk(
-    votes: Iterable[int], cfg: EvidenceConfig
-) -> Iterator[tuple[float, Outcome | None]]:
+    votes: Iterable[int], n: int, cfg: EvidenceConfig
+) -> Iterator[tuple[float, EvidenceOutcome | None]]:
     """The one decision loop, shared by batch replay, grid search and stream.
 
-    Pulls votes one at a time and yields (evidence, decision) after each;
-    decision is None until |net votes| reaches ``votes_to_decide``, and the
-    walk returns at the deciding vote, so a lazy source is never read past
-    it. A walk that ends undecided is a timeout. Evidence is the exact
-    decimal ``net * step``, rounded once by Python's int true division.
+    Pulls a trial's ``n`` votes one at a time and yields (evidence, outcome)
+    after each. The outcome is None until the trial ends: at the vote that
+    brings |net votes| to ``votes_to_decide``, or as a Timeout at the n-th
+    vote. The walk returns there, so a lazy source is never read past the
+    stop. Evidence is the exact decimal ``net * step``, rounded once by
+    Python's int true division.
     """
     need = cfg.votes_to_decide
     num, den = cfg._exact_step.numerator, cfg._exact_step.denominator
     right = ClassLabel.Right.value
     net = 0
+    trajectory = []
     for v in votes:
-        net += 1 if int(v) == right else -1
+        net += 1 if v == right else -1
         ev = net * num / den
+        trajectory.append(ev)
         if abs(net) >= need:
-            yield ev, Outcome.Right if net > 0 else Outcome.Left
-            return
-        yield ev, None
+            decision = Outcome.Right if net > 0 else Outcome.Left
+        elif len(trajectory) == n:
+            decision = Outcome.Timeout
+        else:
+            yield ev, None
+            continue
+        yield ev, EvidenceOutcome(decision, len(trajectory), tuple(trajectory))
+        return
 
 
 def accumulate(
@@ -121,7 +130,8 @@ def accumulate(
     ----------
     predictions : sequence of int
         Window labels in temporal order, ``ClassLabel`` values (0=Left,
-        1=Right). A Right vote adds ``step``, a Left vote subtracts it.
+        1=Right). A vote equal to Right's value adds ``step``, any other
+        vote subtracts it.
     cfg : EvidenceConfig
 
     Returns
@@ -133,11 +143,9 @@ def accumulate(
     """
     if len(predictions) == 0:
         raise EmptyTrial("cannot accumulate over zero windows")
-    trajectory = []
-    for ev, decision in _walk(predictions, cfg):
-        trajectory.append(ev)
-    return EvidenceOutcome(decision or Outcome.Timeout, len(trajectory),
-                           tuple(trajectory))
+    for _, outcome in _walk(predictions, len(predictions), cfg):
+        pass
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -160,11 +168,7 @@ class TrialReport:
 
     @property
     def correct_n(self) -> int:
-        return sum(
-            r.outcome.decision.matches(r.label)
-            for r in self.results
-            if r.outcome.decision is not Outcome.Timeout
-        )
+        return sum(r.outcome.decision.matches(r.label) for r in self.results)
 
     @property
     def timeout_n(self) -> int:
@@ -275,15 +279,9 @@ class GridResult:
     cells: tuple[tuple[EvidenceConfig, TrialReport], ...]
     objective: str
 
-    def report_for(self, cfg: EvidenceConfig) -> TrialReport:
-        for c, rep in self.cells:
-            if c == cfg:
-                return rep
-        raise KeyError(cfg)
-
     @property
     def best_report(self) -> TrialReport:
-        return self.report_for(self.best)
+        return dict(self.cells)[self.best]
 
     def to_csv(self) -> str:
         """Threshold rows x step columns; cells are correct/incorrect/timeout %."""
@@ -368,6 +366,7 @@ class StreamEvent:
     window_index: int  # 1-based within the trial
     evidence: float
     state: str  # "accumulating" until the final window's Left/Right/Timeout
+    outcome: EvidenceOutcome | None = None  # the trial's, on its final window only
 
 
 def stream_replay(
@@ -381,9 +380,10 @@ def stream_replay(
     Each trial's windows come from ``dsp.stream_windows`` as the trial
     arrives (a bad trial raises then, after the events before it), each
     window is classified when the walk asks for its vote, and the trial
-    stops consuming windows at the decision. With ``realtime=True`` the
-    stream sleeps one window step between events. Decisions are identical
-    to ``replay_session(..., causal=True)``.
+    stops consuming windows at the decision. The trial's final event
+    carries its outcome. With ``realtime=True`` the stream sleeps one
+    window step between events. Decisions are identical to
+    ``replay_session(..., causal=True)``.
     """
     params: PreprocessParams = decoder.params
     for t, ws in enumerate(stream_windows(rec, params)):
@@ -391,17 +391,12 @@ def stream_replay(
             int(decoder.predict_windows(ws[w : w + 1])[0])
             for w in range(ws.n_windows)
         )
-        for w, (ev, decision) in enumerate(_walk(votes, cfg), 1):
-            if decision is not None:
-                outcome = decision.name
-            elif w == ws.n_windows:
-                outcome = "Timeout"
-            else:
-                outcome = "accumulating"
+        for w, (ev, outcome) in enumerate(_walk(votes, ws.n_windows, cfg), 1):
+            state = "accumulating" if outcome is None else outcome.decision.name
             if realtime:
                 time.sleep(params.step_s)
-            yield StreamEvent(trial_index=t, window_index=w,
-                              evidence=ev, state=outcome)
+            yield StreamEvent(trial_index=t, window_index=w, evidence=ev,
+                              state=state, outcome=outcome)
 
 
 def stream_to_report(
@@ -416,15 +411,10 @@ def stream_to_report(
     on_event, when given, is called with every StreamEvent as it happens.
     """
     labels = [t.label for t in extract_trials(rec)]
-    traj: dict[int, list[float]] = {}
-    final: dict[int, str] = {}
+    outcomes = []
     for ev in stream_replay(decoder, rec, cfg, realtime=realtime):
         if on_event is not None:
             on_event(ev)
-        traj.setdefault(ev.trial_index, []).append(ev.evidence)
-        final[ev.trial_index] = ev.state
-    outcomes = [
-        EvidenceOutcome(Outcome(final[t]), len(traj[t]), tuple(traj[t]))
-        for t in range(len(labels))
-    ]
+        if ev.outcome is not None:
+            outcomes.append(ev.outcome)
     return _report(labels, outcomes, cfg, decoder.params)

@@ -135,12 +135,9 @@ class SessionMeta:
     subject: str
     sensor: Sensor
     session_kind: SessionKind
-    fs: float
-    channel_labels: tuple[str, ...]
     n_runs: int
 
     def __post_init__(self):
-        object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
         if self.n_runs < 1:
             raise MalformedMeta(f"n_runs must be >= 1, got {self.n_runs}")
 
@@ -209,8 +206,6 @@ def load_session(path) -> Session:
             subject=doc["subject"],
             sensor=Sensor(doc["sensor"]),
             session_kind=SessionKind(doc["session_kind"]),
-            fs=doc["fs"],
-            channel_labels=doc["channel_labels"],
             n_runs=doc["n_runs"],
         )
     except (ValueError, MalformedMeta) as exc:
@@ -223,7 +218,7 @@ def load_session(path) -> Session:
     _check_finite(samples, samples_path)
     try:
         rec = Recording(
-            samples=samples, fs=meta.fs, channel_labels=meta.channel_labels, events=events
+            samples=samples, fs=doc["fs"], channel_labels=doc["channel_labels"], events=events
         )
     except ValueError as exc:
         raise MalformedMeta(f"{meta_path}: {exc}") from exc

@@ -205,8 +205,6 @@ def generate_session(
         subject=subject if subject is not None else f"synth{spec.seed}",
         sensor=Sensor.Synthetic,
         session_kind=kind,
-        fs=spec.fs,
-        channel_labels=rec.channel_labels,
         n_runs=spec.n_runs,
     )
     return Session(rec, meta)

@@ -1,11 +1,13 @@
-"""End-to-end command-line workflows (in-process; one test of a closed
-stdout pipe runs the CLI as a process)."""
+"""End-to-end command-line workflows (in-process; the tests of a closed
+stdout pipe and of a warning's stderr line run the CLI as a process)."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +219,33 @@ def test_replay_events_into_a_closed_pipe_exits_quietly(cli_env):
     assert proc.wait(timeout=60) == 1
     assert set(json.loads(first)) == {"trial", "window", "ev", "state"}
     assert err == b""
+
+
+def test_train_warning_is_one_stderr_line(cli_env, tmp_path):
+    # pyproject's filterwarnings hides the LDA warning from in-process
+    # runs, so the line is read from a process's stderr
+    _, study, _ = cli_env
+    env = dict(os.environ, PYTHONPATH=str(Path(mi_decode.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mi_decode.cli", "train", "--session", str(study / "offline"),
+         "--out", str(tmp_path / "dec"), "--mode", "psd"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"warning: UserWarning: LDA with \d+ rows for \d+ features; "
+                        r"scatter is rank-deficient", lines[0])
+
+
+def test_main_leaves_the_warning_printer_and_filters_as_it_found_them(cli_env, tmp_path):
+    _, study, _ = cli_env
+    printer, filters = warnings.showwarning, list(warnings.filters)
+    assert main(["train", "--session", str(study / "offline"), "--out", str(tmp_path / "dec"),
+                 "--mode", "psd", "--report", str(tmp_path / "train.json")]) == 0
+    assert warnings.showwarning is printer
+    assert warnings.filters == filters
 
 
 def test_pca_sweep_command(cli_env, capsys):

@@ -486,6 +486,29 @@ def test_stream_event_invariants(small_decoder, stream_session):
         assert tuple(e.evidence for e in evs) == out.trajectory
 
 
+@pytest.mark.parametrize("decoder_name", ["small_decoder", "small_pca_decoder"])
+def test_final_stream_event_carries_the_batch_outcome(decoder_name, stream_session, request):
+    decoder = request.getfixturevalue(decoder_name)
+    rec = stream_session.recording
+    params = decoder.params
+    win, step = round(params.win_len_s * rec.fs), round(params.step_s * rec.fs)
+    n_windows = [1 + (t.n_samples - win) // step for t in extract_trials(rec)]
+    # (1.0, 0.01) needs 101 net votes, more than any trial has windows
+    for cfg, all_timeout in ((EvidenceConfig(0.3, 0.1), False),
+                             (EvidenceConfig(1.0, 0.01), True)):
+        batch = replay_session(decoder, rec, cfg, causal=True)
+        by_trial = {}
+        for ev in stream_replay(decoder, rec, cfg):
+            by_trial.setdefault(ev.trial_index, []).append(ev)
+        assert sorted(by_trial) == list(range(batch.n_trials))
+        for t, evs in by_trial.items():
+            assert all(e.outcome is None for e in evs[:-1])
+            assert evs[-1].outcome == batch.results[t].outcome
+            if all_timeout:
+                assert evs[-1].outcome.decision is Outcome.Timeout
+                assert evs[-1].window_index == n_windows[t] == len(evs)
+
+
 def test_stream_scores_no_window_after_a_decision(small_decoder, stream_session):
     class CountingDecoder:
         def __init__(self, inner):

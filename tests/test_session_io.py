@@ -39,13 +39,11 @@ def _recording(n=64, c=3, events=(), fs=128.0, seed=SEED):
     return Recording(samples=samples, fs=fs, channel_labels=labels, events=tuple(events))
 
 
-def _meta(rec, n_runs=1, kind=SessionKind.Offline):
+def _meta(n_runs=1, kind=SessionKind.Offline):
     return SessionMeta(
         subject="s01",
         sensor=Sensor.Gel,
         session_kind=kind,
-        fs=rec.fs,
-        channel_labels=rec.channel_labels,
         n_runs=n_runs,
     )
 
@@ -62,7 +60,7 @@ def _events():
 
 def test_roundtrip_is_exact(tmp_path):
     rec = _recording(events=_events())
-    meta = _meta(rec, n_runs=2)
+    meta = _meta(n_runs=2)
     save_session(rec, meta, tmp_path / "sess")
     loaded = load_session(tmp_path / "sess")
     assert np.array_equal(loaded.recording.samples, rec.samples)
@@ -74,7 +72,7 @@ def test_roundtrip_is_exact(tmp_path):
 
 def test_roundtrip_twice_bytes_identical(tmp_path):
     rec = _recording(events=_events())
-    meta = _meta(rec, n_runs=2)
+    meta = _meta(n_runs=2)
     save_session(rec, meta, tmp_path / "a")
     sess = load_session(tmp_path / "a")
     save_session(sess.recording, sess.meta, tmp_path / "b")
@@ -90,7 +88,7 @@ def test_missing_directory(tmp_path):
 @pytest.mark.parametrize("name", [META_NAME, SAMPLES_NAME])
 def test_missing_one_file(tmp_path, name):
     rec = _recording()
-    save_session(rec, _meta(rec), tmp_path / "sess")
+    save_session(rec, _meta(), tmp_path / "sess")
     (tmp_path / "sess" / name).unlink()
     with pytest.raises(MissingFile):
         load_session(tmp_path / "sess")
@@ -98,7 +96,7 @@ def test_missing_one_file(tmp_path, name):
 
 def test_truncated_payload(tmp_path):
     rec = _recording()
-    save_session(rec, _meta(rec), tmp_path / "sess")
+    save_session(rec, _meta(), tmp_path / "sess")
     payload = tmp_path / "sess" / SAMPLES_NAME
     payload.write_bytes(payload.read_bytes()[:-4])
     with pytest.raises(LengthMismatch):
@@ -107,7 +105,7 @@ def test_truncated_payload(tmp_path):
 
 def test_malformed_json(tmp_path):
     rec = _recording()
-    save_session(rec, _meta(rec), tmp_path / "sess")
+    save_session(rec, _meta(), tmp_path / "sess")
     (tmp_path / "sess" / META_NAME).write_text("{not json", encoding="utf-8")
     with pytest.raises(MalformedMeta):
         load_session(tmp_path / "sess")
@@ -126,7 +124,7 @@ def test_malformed_json(tmp_path):
 )
 def test_bad_meta_fields(tmp_path, mutate):
     rec = _recording(events=_events())
-    save_session(rec, _meta(rec, n_runs=2), tmp_path / "sess")
+    save_session(rec, _meta(n_runs=2), tmp_path / "sess")
     meta_path = tmp_path / "sess" / META_NAME
     doc = json.loads(meta_path.read_text(encoding="utf-8"))
     mutate(doc)
@@ -137,7 +135,7 @@ def test_bad_meta_fields(tmp_path, mutate):
 
 def test_event_run_out_of_range(tmp_path):
     rec = _recording(events=(EventMarker(8, EventKind.CueLeft, 3),))
-    save_session(rec, _meta(rec, n_runs=2), tmp_path / "sess")
+    save_session(rec, _meta(n_runs=2), tmp_path / "sess")
     with pytest.raises(MalformedMeta):
         load_session(tmp_path / "sess")
 

@@ -56,7 +56,7 @@ def _session(path):
         channel_labels=("c3", "cz", "c4"),
         events=(EventMarker(8, EventKind.CueLeft, 0), EventMarker(40, EventKind.CueRight, 1)),
     )
-    meta = SessionMeta("s01", Sensor.Gel, SessionKind.Offline, rec.fs, rec.channel_labels, 2)
+    meta = SessionMeta("s01", Sensor.Gel, SessionKind.Offline, 2)
     save_session(rec, meta, path)
     return load_session, META_NAME
 
