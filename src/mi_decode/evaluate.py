@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .features import (
     pca_id,
     pca_transform,
     psd_features,
+    psd_rows,
     save_pca,
 )
 from .session import Recording, Session
@@ -171,19 +172,41 @@ class Decoder:
         gets the same vote in a batch as when it is streamed by itself.
         """
         config = self.pipeline.config
-        if self._folded is None:
-            return self.clf.predict(raw_feature_matrix(ws, config).X)
         if config.uses_psd:
-            X = raw_feature_matrix(ws, config).X
-            s, certified = self._folded.scores(X)
-        else:
-            X = None
-            s, certified = self._folded_window_scores(ws)
+            return self._predict_rows(raw_feature_matrix(ws, config).X)
+        s, certified = self._folded_window_scores(ws)
         pred = (s > 0).astype(np.int64)
         for i in np.flatnonzero(~certified):
-            row = ws[i : i + 1].flattened() if X is None else X[i : i + 1]
+            row = ws[i : i + 1].flattened()
             pred[i] = self.clf.predict(self.pipeline.transform_raw(row))[0]
         return pred
+
+    def _predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """``predict_windows`` of raw feature rows X (see there)."""
+        if self._folded is None:
+            return self.clf.predict(X)
+        s, certified = self._folded.scores(X)
+        pred = (s > 0).astype(np.int64)
+        for i in np.flatnonzero(~certified):
+            pred[i] = self.clf.predict(self.pipeline.transform_raw(X[i : i + 1]))[0]
+        return pred
+
+    def stream_votes(self, ws: WindowSet) -> Iterator[int]:
+        """The votes of ``predict_windows(ws)`` one window at a time, each
+        computed only when the caller asks for it.
+
+        Meant for one trial's windows as they stream in. In ``psd`` modes
+        the rows come from ``features.psd_rows``, which transforms each
+        Welch segment of the trial once; in ``pca`` mode each window is
+        scored alone from its samples.
+        """
+        config = self.pipeline.config
+        if config.uses_psd:
+            for row in psd_rows(ws, config.welch, config.per_channel):
+                yield int(self._predict_rows(row)[0])
+        else:
+            for w in range(ws.n_windows):
+                yield int(self.predict_windows(ws[w : w + 1])[0])
 
 
 @dataclass(frozen=True)

@@ -378,23 +378,24 @@ def stream_replay(
     """Replay a recording as a causal stream, one event per consumed window.
 
     Each trial's windows come from ``dsp.stream_windows`` as the trial
-    arrives (a bad trial raises then, after the events before it), each
-    window is classified when the walk asks for its vote, and the trial
-    stops consuming windows at the decision. The trial's final event
-    carries its outcome. With ``realtime=True`` the stream sleeps one
-    window step between events. Decisions are identical to
-    ``replay_session(..., causal=True)``.
+    arrives (a bad trial raises then, after the events before it), and
+    ``decoder.stream_votes`` classifies a window when the walk asks for
+    its vote, so the trial stops consuming windows at the decision. The
+    trial's final event carries its outcome. With ``realtime=True`` the
+    k-th event is held until k window steps after the stream started, so
+    the compute time of the windows does not add up into drift.
+    Decisions are identical to ``replay_session(..., causal=True)``.
     """
     params: PreprocessParams = decoder.params
+    t0 = time.monotonic() if realtime else 0.0
+    k = 0
     for t, ws in enumerate(stream_windows(rec, params)):
-        votes = (  # lazy: a window is scored only when the walk asks for its vote
-            int(decoder.predict_windows(ws[w : w + 1])[0])
-            for w in range(ws.n_windows)
-        )
+        votes = decoder.stream_votes(ws)
         for w, (ev, outcome) in enumerate(_walk(votes, ws.n_windows, cfg), 1):
             state = "accumulating" if outcome is None else outcome.decision.name
             if realtime:
-                time.sleep(params.step_s)
+                k += 1
+                time.sleep(max(0.0, t0 + k * params.step_s - time.monotonic()))
             yield StreamEvent(trial_index=t, window_index=w, evidence=ev,
                               state=state, outcome=outcome)
 

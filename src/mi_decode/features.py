@@ -7,11 +7,15 @@ full SVD of the centered data when squaring would lose the trailing
 components; a fixed sign convention makes refits bit-identical.
 The Welch estimator uses Hann-tapered, 50%-overlapping modified
 periodograms with one-sided density scaling; nperseg=256 at fs=512 gives
-the 129 bins the rest of the pipeline expects. Overlapping windows share
-segments: psd_features cuts every segment straight from the window set's
-signal, computes the periodogram of each distinct segment start once and
-averages every window's own segments in the same order as welch_psd;
-each feature row equals welch_psd of its window bit for bit. Linear
+the 129 bins the rest of the pipeline expects. One function,
+_periodograms, computes every periodogram: of channel-major segments,
+transformed along their contiguous last axis. Overlapping windows share
+segments: psd_features works one trial at a time, transposes the trial's
+samples once, transforms each distinct segment start once and adds every
+window's own segments into its row in the same order as welch_psd, so
+each feature row equals welch_psd of its window bit for bit. psd_rows
+gives the same rows one streamed window at a time, transforming only the
+segments that no earlier window of the trial needed. Linear
 scores of flattened windows are summed the same way, from time blocks of
 the signal that overlapping windows share, without flattening them.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import eigh
@@ -144,12 +149,11 @@ def _hann(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _taper(nperseg: int, n_channels: int) -> tuple[np.ndarray, float]:
-    """The Hann taper tiled over channels, and its sum of squares."""
-    taper = _hann(nperseg)[:, None]
-    tiled = np.repeat(taper, n_channels, axis=1)  # one flat multiply per segment
-    tiled.flags.writeable = False  # cached and shared between calls
-    return tiled, float(np.sum(taper[:, 0] ** 2))
+def _taper(nperseg: int) -> tuple[np.ndarray, float]:
+    """The Hann taper and its sum of squares."""
+    taper = _hann(nperseg)
+    taper.flags.writeable = False  # cached and shared between calls
+    return taper, float(np.sum(taper**2))
 
 
 CHUNK_WINDOWS = 512  # bounds the segment, spectrum and block-score working set
@@ -166,9 +170,9 @@ def _segment_plan(
     first window's start; window w uses the segments that start
     rel_starts[w] + s*hop, for s < n_seg. Returns the sorted distinct
     segment starts (relative, like rel_starts) and the (windows, n_seg)
-    index of every window's segments into them. Cached because a streamed
-    window asks for the same one-window plan every time, and eval, grid
-    and replay of one recording ask for the same batch plans.
+    index of every window's segments into them. Cached because eval, grid
+    and replay of one recording ask for the same plans, and equally long
+    trials for the same plan.
     """
     rel = np.frombuffer(rel_starts, dtype=np.int64)
     seg_starts = rel[:, None] + hop * np.arange(n_seg)
@@ -179,51 +183,119 @@ def _segment_plan(
     return plan
 
 
-def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec,
-           fs: float):
-    """Welch PSDs of the windows signal[starts[i] : starts[i] + win_len].
+@functools.lru_cache(maxsize=32)
+def _welch_plan(rel_starts: bytes, hop: int, n_seg: int) -> tuple[np.ndarray, tuple]:
+    """``_segment_plan`` with the index split into its n_seg columns.
 
-    signal is a C-ordered (n_samples, n_channels) float64 array. Segments
-    are cut straight from it, and two windows share a segment exactly when
-    it starts at the same sample of the signal, so it is the same samples
-    for both, whatever the starts. Each distinct segment of a chunk of
-    CHUNK_WINDOWS windows is tapered and transformed once; each window then
-    takes the mean of its own n_seg periodograms, the same reduction as a
-    one-window estimate, so the result is bit-identical to it. Yields
-    (windows, n_channels, n_bins) blocks in row order, one-sided density
-    scaling.
+    Column s holds where each window's s-th segment sits among the
+    distinct segments. It is a slice when those positions are evenly
+    spaced, as they are for the windows ``window_trials`` cuts at the
+    default spec, so averaging reads a view; any other column stays an
+    index array.
     """
+    offsets, index = _segment_plan(rel_starts, hop, n_seg)
+    columns = []
+    for col in index.T.tolist():
+        step = col[1] - col[0] if len(col) > 1 else 1
+        if step > 0 and col == list(range(col[0], col[-1] + 1, step)):
+            columns.append(slice(col[0], col[-1] + 1, step))
+        else:
+            column = np.array(col)
+            column.flags.writeable = False  # cached and shared between calls
+            columns.append(column)
+    return offsets, tuple(columns)
+
+
+def _segments_per_window(win_len: int, spec: WelchSpec) -> tuple[int, int]:
+    """The segment hop and the number of segments in a win_len window."""
     if win_len < spec.nperseg:
         raise WindowTooShort(f"{win_len} samples < nperseg={spec.nperseg}")
-    n_samples, n_channels = signal.shape
     hop = spec.nperseg - spec.noverlap
-    n_seg = 1 + (win_len - spec.nperseg) // hop
-    taper, sum_sq = _taper(spec.nperseg, n_channels)
-    scale = 1.0 / (fs * sum_sq)
-    # (start, time, channel) view of every segment the signal holds; built
-    # on the buffer directly, which costs a streamed one-window call a few
-    # microseconds less than as_strided
-    s_time, s_ch = signal.strides
-    segments = np.ndarray(
-        (n_samples - spec.nperseg + 1, spec.nperseg, n_channels), signal.dtype,
-        buffer=signal, strides=(s_time, s_time, s_ch),
+    return hop, 1 + (win_len - spec.nperseg) // hop
+
+
+def _channel_major_segments(span: np.ndarray, nperseg: int) -> np.ndarray:
+    """(start, channel, time) view of every nperseg-sample segment of span.
+
+    span, a (n_samples, n_channels) slice of a signal, is copied to
+    channel-major once, so each segment of each channel is a contiguous
+    run that the gather copies and the FFT reads along its last axis.
+    """
+    by_channel = np.ascontiguousarray(span.T)
+    n_channels, n_samples = by_channel.shape
+    s_ch, s_time = by_channel.strides
+    return np.ndarray(
+        (n_samples - nperseg + 1, n_channels, nperseg), by_channel.dtype,
+        buffer=by_channel, strides=(s_time, s_ch, s_time),
     )
 
-    for lo in range(0, len(starts), CHUNK_WINDOWS):
-        st = starts[lo : lo + CHUNK_WINDOWS]
-        offsets, index = _segment_plan((st - st[0]).tobytes(), hop, n_seg)
-        segs = segments[st[0] + offsets]
-        segs *= taper
-        spectrum = np.fft.rfft(segs, axis=-2)
-        del segs
-        psd = np.square(spectrum.real)
-        psd += np.square(spectrum.imag)
-        del spectrum
-        psd *= scale
-        psd[..., 1:-1, :] *= 2.0  # one-sided: double all bins but DC and Nyquist
-        if spec.nperseg % 2:  # odd nperseg has no Nyquist bin
-            psd[..., -1, :] *= 2.0
-        yield psd[index].mean(axis=1).swapaxes(-1, -2)
+
+def _periodograms(segments: np.ndarray, offsets, spec: WelchSpec,
+                  fs: float) -> np.ndarray:
+    """Modified periodograms (len(offsets), n_channels, n_bins) of the
+    segments at offsets of a ``_channel_major_segments`` view: Hann taper,
+    one-sided density scaling. The one periodogram code of the package;
+    each segment's bits do not depend on which others share the call."""
+    taper, sum_sq = _taper(spec.nperseg)
+    segs = segments[offsets]
+    segs *= taper
+    spectrum = np.fft.rfft(segs)
+    del segs
+    psd = np.square(spectrum.real)
+    psd += np.square(spectrum.imag)
+    del spectrum
+    psd *= 1.0 / (fs * sum_sq)
+    psd[..., 1:-1] *= 2.0  # one-sided: double all bins but DC and Nyquist
+    if spec.nperseg % 2:  # odd nperseg has no Nyquist bin
+        psd[..., -1] *= 2.0
+    return psd
+
+
+def _mean_into(out: np.ndarray, parts) -> None:
+    """out = the mean of parts, added in order and divided once: the bits
+    of ``np.mean`` over a stacked segment axis."""
+    np.copyto(out, parts[0])
+    for part in parts[1:]:
+        out += part
+    out /= len(parts)
+
+
+def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec,
+           fs: float, groups) -> np.ndarray:
+    """Welch PSDs (n_windows, n_channels, n_bins) of the windows
+    signal[starts[i] : starts[i] + win_len].
+
+    signal is a C-ordered (n_samples, n_channels) float64 array; groups
+    are slices of the rows, one per trial. A group is done CHUNK_WINDOWS
+    windows at a time: the sample span its windows cover is transposed to
+    channel-major, each distinct segment of it is tapered and transformed
+    once, and each window's n_seg periodograms are added in order into
+    its output row and divided once, the reduction of a one-window
+    estimate, so every row is bit-identical to it. Two windows share a
+    segment exactly when it starts at the same sample of the signal.
+    """
+    hop, n_seg = _segments_per_window(win_len, spec)
+    out = np.empty((len(starts), signal.shape[1], spec.n_bins))
+    for group in groups:
+        for lo in range(group.start, group.stop, CHUNK_WINDOWS):
+            hi = min(lo + CHUNK_WINDOWS, group.stop)
+            st = starts[lo:hi]
+            first, last = int(st.min()), int(st.max())
+            segments = _channel_major_segments(signal[first : last + win_len], spec.nperseg)
+            offsets, columns = _welch_plan((st - first).tobytes(), hop, n_seg)
+            psd = _periodograms(segments, offsets, spec, fs)
+            _mean_into(out[lo:hi], [psd[c] for c in columns])
+    return out
+
+
+def _feature_rows(psd: np.ndarray, per_channel: bool) -> np.ndarray:
+    """Feature rows of (windows, n_channels, n_bins) PSDs: the spectra
+    channel-major, or their channel mean. The mean runs over channels as
+    the innermost axis, the summation order every psd decoder was fit on."""
+    n, n_channels, n_bins = psd.shape
+    if per_channel:
+        return psd.reshape(n, n_channels * n_bins)
+    return np.ascontiguousarray(psd.swapaxes(1, 2)).mean(axis=-1)
 
 
 def _time_major_blocks(weights: np.ndarray, win_len: int, block: int) -> np.ndarray:
@@ -306,8 +378,8 @@ def welch_psd(window: np.ndarray, spec: WelchSpec, fs: float) -> np.ndarray:
     window = np.ascontiguousarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise WindowTooShort(f"window must be 2-D, got shape {window.shape}")
-    (psd,) = _welch(window, np.zeros(1, dtype=np.int64), window.shape[0], spec, fs)
-    return psd[0]
+    return _welch(window, np.zeros(1, dtype=np.int64), window.shape[0], spec, fs,
+                  [slice(0, 1)])[0]
 
 
 @dataclass(frozen=True)
@@ -345,25 +417,46 @@ def psd_features(
 
     Windows of one trial overlap, and so do their Welch segments: at the
     default 32-sample window step and 128-sample segment hop, a 63-window
-    trial holds 71 distinct segments, not 189. Segments are cut from
-    ws.signal and deduplicated by their absolute start in it, so each
-    distinct segment's periodogram is computed once per chunk of windows,
-    and every window averages its own segments in the same order as
-    welch_psd, so each row equals welch_psd of that window bit for bit.
+    trial holds 71 distinct segments, not 189. Each trial (a group of
+    ws.trial_slices(), at most CHUNK_WINDOWS windows at a time) is
+    transposed to channel-major once, each distinct segment's periodogram
+    is computed once, and every window adds its own segments into its row
+    in the same order as welch_psd, so each row equals welch_psd of that
+    window bit for bit.
     """
     spec = spec or WelchSpec()
-    rows = []
-    for psd in _welch(ws.signal, ws.starts, ws.win_len, spec, ws.fs):
-        if per_channel:
-            rows.append(psd.reshape(psd.shape[0], -1))
-        else:
-            rows.append(psd.mean(axis=1))
+    groups = [sl for _, sl in ws.trial_slices()]
+    psd = _welch(ws.signal, ws.starts, ws.win_len, spec, ws.fs, groups)
     return FeatureMatrix(
-        X=np.concatenate(rows, axis=0),
+        X=_feature_rows(psd, per_channel),
         labels=ws.labels,
         trial_index=ws.trial_index,
         run_index=ws.run_index,
     )
+
+
+def psd_rows(ws: WindowSet, spec: WelchSpec, per_channel: bool) -> Iterator[np.ndarray]:
+    """``psd_features(ws, spec, per_channel).X`` one (1, n_features) row at
+    a time, in window order, each computed only when the caller asks.
+
+    Meant for one trial's windows as they stream in: ws.signal is
+    transposed to channel-major once, and a store keyed by segment start
+    keeps every periodogram computed so far, so a window transforms only
+    the segments that no earlier window needed (one of its three at the
+    default spec) and adds its segments in psd_features' order, which
+    makes each row equal to psd_features' row bit for bit.
+    """
+    hop, n_seg = _segments_per_window(ws.win_len, spec)
+    segments = _channel_major_segments(ws.signal, spec.nperseg)
+    by_start = {}
+    for start in ws.starts.tolist():
+        need = [start + s * hop for s in range(n_seg)]
+        new = [o for o in need if o not in by_start]
+        if new:
+            by_start.update(zip(new, _periodograms(segments, new, spec, ws.fs)))
+        psd = np.empty((1, ws.n_channels, spec.n_bins))
+        _mean_into(psd[0], [by_start[o] for o in need])
+        yield _feature_rows(psd, per_channel)
 
 
 PCA_META_NAME = "pca.json"

@@ -5,11 +5,19 @@ import re
 import time
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mi_decode.dsp import PreprocessParams, Trial, extract_trials, window_trials
+from mi_decode import evidence
+from mi_decode.dsp import (
+    PreprocessParams,
+    Trial,
+    extract_trials,
+    window_trials,
+    windows_from_recording,
+)
 from mi_decode.errors import (
     EmptyGrid,
     EmptyTrial,
@@ -18,7 +26,7 @@ from mi_decode.errors import (
     NoTrials,
     TrialTooShort,
 )
-from mi_decode.evaluate import FeatureConfig, train_decoder
+from mi_decode.evaluate import Decoder, FeatureConfig, train_decoder
 from mi_decode.evidence import (
     EvidenceConfig,
     Outcome,
@@ -28,6 +36,7 @@ from mi_decode.evidence import (
     stream_replay,
     stream_to_report,
 )
+from mi_decode.features import psd_features
 from mi_decode.session import ClassLabel, Recording, SessionKind
 from mi_decode.synth import generate_session
 
@@ -516,9 +525,10 @@ def test_stream_scores_no_window_after_a_decision(small_decoder, stream_session)
             self.inner = inner
             self.calls = 0
 
-        def predict_windows(self, ws):
-            self.calls += 1
-            return self.inner.predict_windows(ws)
+        def stream_votes(self, ws):
+            for vote in self.inner.stream_votes(ws):
+                self.calls += 1
+                yield vote
 
     rec = stream_session.recording
     counting = CountingDecoder(small_decoder)
@@ -529,6 +539,42 @@ def test_stream_scores_no_window_after_a_decision(small_decoder, stream_session)
     win, step = round(params.win_len_s * rec.fs), round(params.step_s * rec.fs)
     all_windows = sum(1 + (t.n_samples - win) // step for t in extract_trials(rec))
     assert len(events) < all_windows
+
+
+def test_stream_scores_the_batch_feature_rows(small_decoder, stream_session, monkeypatch):
+    scored = []
+    predict_rows = Decoder._predict_rows
+
+    def spy(self, X):
+        scored.append(X.copy())
+        return predict_rows(self, X)
+
+    monkeypatch.setattr(Decoder, "_predict_rows", spy)
+    rec = stream_session.recording
+    # every trial times out, so every window of the session is scored
+    events = list(stream_replay(small_decoder, rec, EvidenceConfig(1.0, 0.01)))
+    monkeypatch.undo()
+    batch = psd_features(windows_from_recording(rec, small_decoder.params, causal=True)).X
+    assert len(scored) == len(events) == batch.shape[0]
+    assert np.array_equal(np.vstack(scored), batch)
+
+
+def test_streamed_trial_transforms_each_segment_once(small_decoder, stream_session,
+                                                     monkeypatch):
+    segments = []
+    rfft = np.fft.rfft
+
+    def spy(a, *args, **kwargs):
+        segments.append(a.size // (a.shape[-2] * a.shape[-1]))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    report = stream_to_report(small_decoder, stream_session.recording, EvidenceConfig(0.3, 0.1))
+    stops = [r.outcome.stop_index for r in report.results]
+    # a trial decided at window k holds min(3k, k + 8) distinct segments at
+    # the default 32-sample window step and 128-sample segment hop
+    assert sum(segments) == sum(min(3 * k, k + 8) for k in stops)
+    assert sum(segments) < 3 * sum(stops)  # fewer than 3 per scored window
 
 
 def test_stream_on_event_callback(small_decoder, stream_session):
@@ -613,3 +659,33 @@ def test_realtime_stream_paces_events(small_decoder):
     assert paced == quick
     n_events = sum(r.outcome.stop_index for r in paced.results)
     assert elapsed >= 0.0625 * n_events * 0.8
+
+
+@pytest.mark.parametrize("cost_s", [0.04, 0.1], ids=["under-a-step", "over-a-step"])
+def test_realtime_stream_paces_to_absolute_deadlines(small_decoder, stream_session,
+                                                     monkeypatch, cost_s):
+    clock = [100.0]
+    sleeps = []
+
+    def sleep(s):
+        assert s >= 0
+        sleeps.append(s)
+        clock[0] += s
+
+    monkeypatch.setattr(evidence, "time", SimpleNamespace(monotonic=lambda: clock[0],
+                                                          sleep=sleep))
+
+    class SlowDecoder:
+        params = small_decoder.params
+
+        def stream_votes(self, ws):
+            for vote in small_decoder.stream_votes(ws):
+                clock[0] += cost_s  # scoring a window takes cost_s of fake time
+                yield vote
+
+    n = len(list(stream_replay(SlowDecoder(), stream_session.recording,
+                               EvidenceConfig(0.3, 0.1), realtime=True)))
+    step = small_decoder.params.step_s
+    assert len(sleeps) == n
+    assert sum(sleeps) == pytest.approx(max(0.0, n * step - n * cost_s))
+    assert clock[0] - 100.0 == pytest.approx(n * max(step, cost_s))

@@ -1,6 +1,7 @@
 """PCA, Welch PSD features, flattening, PCA persistence."""
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mi_decode.dsp import (
     PreprocessParams,
     Trial,
     WindowSet,
+    stream_windows,
     window_trials,
     windows_from_recording,
 )
@@ -30,6 +32,7 @@ from mi_decode.features import (
     pca_id,
     pca_transform,
     psd_features,
+    psd_rows,
     save_pca,
     welch_psd,
 )
@@ -301,7 +304,7 @@ def test_window_shorter_than_segment():
 # --- feature matrices -------------------------------------------------------
 
 
-def _window_set(n_samples=2496, n_ch=3, seed=4214, label=ClassLabel.Left):
+def _window_set(n_samples=2496, n_ch=3, seed=4214, label=ClassLabel.Left, step_s=0.0625):
     rng = np.random.default_rng(seed)
     trial = Trial(
         label=label,
@@ -310,7 +313,7 @@ def _window_set(n_samples=2496, n_ch=3, seed=4214, label=ClassLabel.Left):
         start_sample=0,
         fs=FS,
     )
-    return window_trials([trial], 1.0, 0.0625)
+    return window_trials([trial], 1.0, step_s)
 
 
 def test_flatten_windows_carries_provenance():
@@ -505,6 +508,53 @@ def test_each_distinct_segment_is_transformed_once(rfft_segments):
     # windows step by 32 samples and segments by 128: 63 + 2*4 distinct
     # segment starts instead of 63 windows x 3 segments
     assert sum(rfft_segments) == 71
+
+
+@pytest.fixture(scope="module")
+def streamed_recording():
+    return generate_session(
+        SynthSpec(seed=4224, n_runs=1, trials_per_run=4), SessionKind.Online1
+    ).recording
+
+
+@pytest.mark.parametrize("per_channel", [True, False], ids=["per-channel", "channel-mean"])
+@pytest.mark.parametrize(
+    "spec",
+    [WelchSpec(), WelchSpec(nperseg=200, noverlap=50), WelchSpec(nperseg=255, noverlap=100),
+     WelchSpec(nperseg=64, noverlap=32)],
+    ids=["default", "hop150", "odd", "15seg"],
+)
+def test_streamed_rows_equal_psd_features_rows(streamed_recording, spec, per_channel):
+    params = PreprocessParams()
+    batch = psd_features(windows_from_recording(streamed_recording, params, causal=True),
+                         spec, per_channel=per_channel).X
+    streamed = [row for ws in stream_windows(streamed_recording, params)
+                for row in psd_rows(ws, spec, per_channel)]
+    assert all(row.shape == (1, batch.shape[1]) for row in streamed)
+    assert np.array_equal(np.vstack(streamed), batch)
+
+
+@pytest.mark.parametrize(
+    "step_s, transformed, whole_trial",
+    [
+        # segments start at 32*w + 128*s: windows 1-4 bring 3 new ones each
+        # and every later window 1, where transforming every window's own
+        # segments would take 3 per window
+        (0.0625, lambda k: min(3 * k, k + 8), 71),
+        (0.25, lambda k: 3 + (k - 1), 18),  # window step = segment hop
+    ],
+    ids=["default-step", "step-equals-hop"],
+)
+def test_streamed_window_transforms_only_its_new_segments(rfft_segments, step_s, transformed,
+                                                          whole_trial):
+    ws = _window_set(n_ch=3, step_s=step_s)
+    for k in range(1, ws.n_windows + 1):  # a trial decided at window k
+        rfft_segments.clear()
+        list(islice(psd_rows(ws, WelchSpec(), True), k))
+        assert sum(rfft_segments) == transformed(k), f"decided at window {k}"
+    rfft_segments.clear()
+    list(psd_rows(ws, WelchSpec(), True))  # a trial that times out
+    assert sum(rfft_segments) == whole_trial
 
 
 def test_standard_full_size_feature_count():
