@@ -1,5 +1,6 @@
 """Run a fixed list of mi-decode commands on a small seeded study and print
-one sha256 over every file they write.
+one sha256 over every file they write, and a second one over every file
+outside the decoder directories (dec-*).
 
     python scripts/byte_identity.py OUTDIR
 
@@ -10,7 +11,8 @@ Reports, event streams, grid CSVs and the session and decoder directories
 all land in OUTDIR; each command's stdout and stderr are kept there too.
 Two checkouts that print the same digest wrote the same bytes, and two
 runs of one checkout must always do so (``diff -r`` of their OUTDIRs is
-empty). OUTDIR must be empty or absent. Exits 1, naming the command, if
+empty). The second digest is for reading only: when a change moves only
+the bits of fitted decoders, it stays equal while the first one moves. OUTDIR must be empty or absent. Exits 1, naming the command, if
 any command fails.
 """
 
@@ -79,11 +81,11 @@ def write_inputs(out: Path) -> None:
                                      encoding="utf-8")
 
 
-def tree_digest(out: Path) -> str:
-    """sha256 over the sorted lines '<sha256 of file>  <relative path>'."""
+def tree_digest(out: Path, files: list[Path]) -> str:
+    """sha256 over the sorted lines '<sha256 of file>  <path relative to out>'."""
     lines = sorted(
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
-        for p in out.rglob("*") if p.is_file()
+        for p in files
     )
     return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
@@ -110,7 +112,10 @@ def main(argv: list[str]) -> int:
             print(f"error: {name} exited {proc.returncode}: "
                   f"{proc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
             return 1
-    print(tree_digest(out))
+    files = [p for p in out.rglob("*") if p.is_file()]
+    outside = [p for p in files if not p.relative_to(out).parts[0].startswith("dec-")]
+    print(f"{tree_digest(out, files)}  all {len(files)} files")
+    print(f"{tree_digest(out, outside)}  the {len(outside)} files outside dec-*/")
     return 0
 
 

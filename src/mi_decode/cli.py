@@ -12,7 +12,10 @@ nothing reads the clock, so equal inputs give byte-identical
 reports. Each ``cmd_*`` handler takes the parsed arguments and the resolved
 settings and returns only its report body; ``main`` resolves the settings,
 runs the handler, adds the envelope (command, version, config and
-config_hash) and emits the report, once for every subcommand.
+config_hash) and emits the report, once for every subcommand. In the
+envelope of a command that fits a pipeline, the feature settings are those
+of its resolved FeatureConfig, as decoder.json saves them: a setting the
+mode ignores, such as k without PCA, reads null.
 """
 
 from __future__ import annotations
@@ -180,13 +183,23 @@ def _grid_settings(cfg: dict) -> dict:
     return {key: cfg[key] for key in ("thresholds", "steps", "objective", "alpha", "beta")}
 
 
+def _features(cfg: dict) -> FeatureConfig:
+    return _build(FeatureConfig, cfg, welch=_build(WelchSpec, cfg))
+
+
 def _pipeline(cfg: dict) -> tuple[PreprocessParams, FeatureConfig]:
     params = _build(PreprocessParams, cfg)
     params.band_spec(float(cfg["fs"]))  # fail fast on a bad band
-    return params, _build(FeatureConfig, cfg, welch=_build(WelchSpec, cfg))
+    return params, _features(cfg)
 
 
 def _report_doc(command: str, cfg: dict) -> dict:
+    if command in _PIPELINE:
+        # the feature settings as the fitted pipeline holds them, and as
+        # decoder.json saves them: null for a setting the mode ignores
+        features = _features(cfg).to_dict()
+        cfg = {**cfg, **{s.key: features[s.field] for s in SETTINGS
+                         if s.cls in (FeatureConfig, WelchSpec)}}
     return {
         "command": command,
         "version": __version__,

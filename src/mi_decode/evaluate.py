@@ -35,7 +35,7 @@ from .features import (
     _window_dots,
     flatten_windows,
     load_pca,
-    pca_fit,
+    pca_fit_transform,
     pca_id,
     pca_transform,
     psd_features,
@@ -111,9 +111,18 @@ class FeaturePipeline:
         return self.transform_raw(raw_feature_matrix(ws, self.config).X)
 
 
-def fit_pipeline(raw_X: np.ndarray, config: FeatureConfig) -> FeaturePipeline:
-    pca = pca_fit(raw_X, config.k) if config.uses_pca else None
-    return FeaturePipeline(config=config, pca=pca)
+def fit_pipeline(
+    raw_X: np.ndarray, config: FeatureConfig
+) -> tuple[FeaturePipeline, np.ndarray]:
+    """The pipeline fitted to raw_X, and raw_X's feature rows through it.
+
+    The rows come from the PCA fit itself (see ``pca_fit_transform``)
+    rather than from projecting raw_X a second time.
+    """
+    if not config.uses_pca:
+        return FeaturePipeline(config=config, pca=None), raw_X
+    pca, Z = pca_fit_transform(raw_X, config.k)
+    return FeaturePipeline(config=config, pca=pca), Z
 
 
 def config_hash(params: PreprocessParams, config: FeatureConfig, clf_kind: str) -> str:
@@ -268,8 +277,8 @@ def _cv_per_k(
         test = fm.run_index == r
         Xtr, ytr = fm.X[~test], fm.labels[~test]
         Xte, yte = fm.X[test], fm.labels[test]
-        pipe = fit_pipeline(Xtr, fit_config)
-        Ztr, Zte = pipe.transform_raw(Xtr), pipe.transform_raw(Xte)
+        pipe, Ztr = fit_pipeline(Xtr, fit_config)
+        Zte = pipe.transform_raw(Xte)
         accs = []
         for k in col_counts:
             clf = fit_classifier(clf_kind, Ztr[:, :k], ytr)
@@ -372,8 +381,8 @@ def train_decoder(
         labels.append(fm.labels)
     X = raws[0] if len(raws) == 1 else np.vstack(raws)
     y = np.concatenate(labels)
-    pipe = fit_pipeline(X, config)
-    clf = fit_classifier(clf_kind, pipe.transform_raw(X), y)
+    pipe, Z = fit_pipeline(X, config)
+    clf = fit_classifier(clf_kind, Z, y)
     prov = {
         "sessions": [
             f"{s.meta.subject}:{s.meta.session_kind.value}:{s.meta.n_runs}runs"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mi_decode
+from mi_decode import store
 from mi_decode.cli import main
 from mi_decode.session import EventKind, SessionKind, load_session, save_session
 from mi_decode.synth import SynthSpec, generate_session
@@ -122,6 +123,25 @@ def test_train_rejects_missing_session(tmp_path):
         ["train", "--session", str(tmp_path / "nope"), "--out", str(tmp_path / "d")]
     )
     assert rc == 1
+
+
+def test_train_report_config_holds_the_saved_feature_settings(cli_env, tmp_path, capsys):
+    # a setting the mode ignores reads null in the report, as in decoder.json,
+    # so two runs that build the same decoder carry the same config hash
+    root, study, decoder = cli_env
+    out = tmp_path / "dec"
+    train = ["train", "--session", str(study / "offline"), "--out", str(out), "--mode", "psd"]
+    docs = [run_json(capsys, train + extra) for extra in ([], ["--pca", "24"])]
+    with_pca = json.loads((root / "train.json").read_text(encoding="utf-8"))
+    for doc, dec in ((docs[0], out), (docs[1], out), (with_pca, decoder)):
+        saved = json.loads((dec / "decoder.json").read_text(encoding="utf-8"))["features"]
+        cfg = doc["config"]
+        assert (cfg["feature_mode"], cfg["k"], cfg["nperseg"], cfg["noverlap"],
+                cfg["per_channel"]) == (saved["mode"], saved["k"], saved["nperseg"],
+                                        saved["noverlap"], saved["per_channel"])
+        assert doc["config_hash"] == store.json_hash(cfg)
+    assert docs[0]["config"]["k"] is None and with_pca["config"]["k"] == 24
+    assert docs[0]["config_hash"] == docs[1]["config_hash"]
 
 
 # --- evaluation commands ----------------------------------------------------

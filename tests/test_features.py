@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
+import mi_decode.features as features
 from mi_decode.dsp import (
     PreprocessParams,
     Trial,
@@ -29,6 +30,7 @@ from mi_decode.features import (
     flatten_windows,
     load_pca,
     pca_fit,
+    pca_fit_transform,
     pca_id,
     pca_transform,
     psd_features,
@@ -166,15 +168,78 @@ def svd_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape,k", [((40, 120), 10), ((300, 30), 12)])
-def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls):
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The keyword arguments of each Gram eigensolve pca_fit makes."""
+    calls = []
+    orig = features.eigh
+
+    def spy(a, **kwargs):
+        calls.append(kwargs)
+        return orig(a, **kwargs)
+
+    monkeypatch.setattr(features, "eigh", spy)
+    return calls
+
+
+def _route(kwargs, m, k):
+    """'full' or 'subset', checking the arguments each route must pass."""
+    if "subset_by_index" in kwargs:
+        assert list(kwargs["subset_by_index"]) == [m - k, m - 1]
+        return "subset"
+    assert kwargs["driver"] == "evd"
+    return "full"
+
+
+# the Gram's order m is min(n, d); cases sit on both sides of k = m / 4
+@pytest.mark.parametrize("shape,k", [
+    ((40, 120), 10), ((300, 30), 12), ((40, 120), 11), ((40, 120), 39),
+    ((300, 30), 7), ((300, 30), 8), ((120, 400), 30), ((120, 400), 31),
+])
+def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls, eigh_calls):
     rng = np.random.default_rng(4210)
     X = rng.standard_normal(shape) * np.geomspace(4.0, 1.0, shape[1])
     t = pca_fit(X, k)
     assert svd_calls == []  # well conditioned: the eigen route is kept
+    m = min(shape)
+    # one full solve when k > m / 4, else a solve for the k pairs alone
+    assert [_route(kw, m, k) for kw in eigh_calls] == ["full" if 4 * k > m else "subset"]
     oracle = _oracle_components(X, k)
     assert np.abs(t.components - oracle).max() < 1e-10
     assert np.abs(t.components @ t.components.T - np.eye(k)).max() < 1e-10
+
+
+def _assert_projections(X, k):
+    """pca_fit_transform's rows equal pca_transform of X, and its fit equals
+    pca_fit's bit for bit."""
+    t, Z = pca_fit_transform(X, k)
+    R = pca_transform(t, X)
+    assert Z.shape == R.shape == (X.shape[0], k) and Z.flags.c_contiguous
+    assert np.abs(Z - R).max() <= 1e-10 * np.abs(Z).max()
+    again = pca_fit(X, k)
+    assert again.components.tobytes() == t.components.tobytes()
+    assert again.explained_variance_ratio.tobytes() == t.explained_variance_ratio.tobytes()
+
+
+@pytest.mark.parametrize("shape,k", [
+    ((40, 120), 10), ((40, 120), 30),  # n <= d: U sqrt(lambda), on either solve
+    ((300, 30), 7), ((300, 30), 12),  # n > d: the centered rows times the components
+])
+def test_fit_projections_match_transform_on_the_gram_routes(shape, k, svd_calls):
+    rng = np.random.default_rng(4214)
+    X = rng.standard_normal(shape) * np.geomspace(4.0, 1.0, shape[1]) + 3.0
+    _assert_projections(X, k)
+    _assert_projections(-X, k)  # the other signs: flipped components flip Z
+    assert svd_calls == []
+
+
+def test_fit_projections_match_transform_on_the_svd_route(svd_calls):
+    rng = np.random.default_rng(4211)
+    for _ in range(5):
+        X = rng.standard_normal((12, 40))
+        _assert_projections(X, 12)
+        assert svd_calls == [(12, 40)] * 2
+        svd_calls.clear()
 
 
 def test_rank_n_minus_1_falls_back_to_orthonormal_rows(svd_calls):
