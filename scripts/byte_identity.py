@@ -12,8 +12,9 @@ all land in OUTDIR; each command's stdout and stderr are kept there too.
 Two checkouts that print the same digest wrote the same bytes, and two
 runs of one checkout must always do so (``diff -r`` of their OUTDIRs is
 empty). The second digest is for reading only: when a change moves only
-the bits of fitted decoders, it stays equal while the first one moves. OUTDIR must be empty or absent. Exits 1, naming the command, if
-any command fails.
+the bits of fitted decoders, it stays equal while the first one moves.
+OUTDIR must be empty or absent. Exits 1, naming the command, if any
+command fails.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def tree_digest(out: Path, files: list[Path]) -> str:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        usage = next(line for line in __doc__.splitlines() if "OUTDIR" in line)
+        print("usage: " + usage.strip(), file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
