@@ -183,6 +183,22 @@ def test_sweep_best_k_breaks_ties_downward():
     assert doc["points"][0] == {"k": 4, "mean_accuracy": 0.9}
 
 
+def _reference_fold_accuracies(fm, fit_k, ks):
+    """Per-k fold accuracies of run-wise CV whose training rows, like its
+    held-out rows, are projected with pca_transform."""
+    per_fold = []
+    for r in np.unique(fm.run_index):
+        test = fm.run_index == r
+        pca = pca_fit(fm.X[~test], fit_k)
+        Ztr, Zte = pca_transform(pca, fm.X[~test]), pca_transform(pca, fm.X[test])
+        per_fold.append([
+            float(np.mean(fit_classifier("lda", Ztr[:, :k], fm.labels[~test])
+                          .predict(Zte[:, :k]) == fm.labels[test]))
+            for k in ks
+        ])
+    return [tuple(accs[i] for accs in per_fold) for i in range(len(ks))]
+
+
 def test_pca_sweep_on_session(small_offline, monkeypatch):
     fits = []
     orig = evaluate.fit_pipeline
@@ -211,21 +227,9 @@ def test_pca_sweep_on_session(small_offline, monkeypatch):
         assert mean == single.mean
         assert rep.to_dict() == single.to_dict()
 
-
-def _reference_fold_accuracies(fm, fit_k, ks):
-    """Per-k fold accuracies of run-wise CV whose training rows, like its
-    held-out rows, are projected with pca_transform."""
-    per_fold = []
-    for r in np.unique(fm.run_index):
-        test = fm.run_index == r
-        pca = pca_fit(fm.X[~test], fit_k)
-        Ztr, Zte = pca_transform(pca, fm.X[~test]), pca_transform(pca, fm.X[test])
-        per_fold.append([
-            float(np.mean(fit_classifier("lda", Ztr[:, :k], fm.labels[~test])
-                          .predict(Zte[:, :k]) == fm.labels[test]))
-            for k in ks
-        ])
-    return [tuple(accs[i] for accs in per_fold) for i in range(len(ks))]
+    # the classifier is fit on the PCA fit's own rows, as on rows projected again
+    assert [rep.fold_accuracy for rep in sweep.reports] == _reference_fold_accuracies(
+        fm, 24, (8, 24))
 
 
 @pytest.mark.parametrize("case", ["more-rows-than-features", "time-domain"])
@@ -238,15 +242,6 @@ def test_cv_fits_on_the_pca_fit_rows_as_on_projected_rows(case, small_offline):
         config, fm = FeatureConfig(mode="pca", k=3), _separable_matrix(gap=0.5)
     rep = cv_from_matrix(fm, config)
     assert [rep.fold_accuracy] == _reference_fold_accuracies(fm, config.k, [config.k])
-
-
-def test_sweep_fits_on_the_pca_fit_rows_as_on_projected_rows(small_offline):
-    sweep = pca_sweep(small_offline, ks=(8, 24), config=SMALL_FEATURES)
-    fm = evaluate.raw_feature_matrix(
-        windows_from_recording(small_offline.recording, PreprocessParams()), SMALL_FEATURES
-    )
-    assert [rep.fold_accuracy for rep in sweep.reports] == _reference_fold_accuracies(
-        fm, 24, (8, 24))
 
 
 def test_pca_sweep_rejects_bad_input(small_offline):
