@@ -157,12 +157,12 @@ def _class_rows(X: np.ndarray, y: np.ndarray):
     return X, left, right
 
 
-def lda_fit(X: np.ndarray, y: np.ndarray, sv_cutoff: float = SV_CUTOFF) -> LinearClassifier:
+def lda_fit(X: np.ndarray, y: np.ndarray) -> LinearClassifier:
     """Fit the shared-covariance linear discriminant.
 
     weights = pinv(pooled covariance) @ (mu_R - mu_L), with the
     pseudo-inverse taken through the SVD of the pooled scatter and a
-    relative cutoff of sv_cutoff on its singular values. The bias places
+    relative cutoff of SV_CUTOFF on its singular values. The bias places
     the boundary at equal posterior under empirical class priors. If the
     scatter is zero everywhere the weights vanish and prediction falls
     back to the prior side.
@@ -187,7 +187,7 @@ def lda_fit(X: np.ndarray, y: np.ndarray, sv_cutoff: float = SV_CUTOFF) -> Linea
     cov /= max(n - 2, 1)
 
     u, s, vt = np.linalg.svd(cov, hermitian=True)
-    keep = s >= sv_cutoff * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    keep = s >= SV_CUTOFF * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     w = (vt.T * inv) @ (u.T @ (mu_r - mu_l))

@@ -12,10 +12,13 @@ nothing reads the clock, so equal inputs give byte-identical
 reports. Each ``cmd_*`` handler takes the parsed arguments and the resolved
 settings and returns only its report body; ``main`` resolves the settings,
 runs the handler, adds the envelope (command, version, config and
-config_hash) and emits the report, once for every subcommand. In the
-envelope of a command that fits a pipeline, the feature settings are those
-of its resolved FeatureConfig, as decoder.json saves them: a setting the
-mode ignores, such as k without PCA, reads null.
+config_hash) and emits the report, once for every subcommand. The
+envelope's config holds exactly the settings the subcommand takes, the
+ones whose ``SETTINGS`` row lists it, so eval-samples, which reads every
+setting from the decoder, reports none. For a command that fits a
+pipeline, the feature settings are those of its resolved FeatureConfig,
+as decoder.json saves them: a setting the mode ignores, such as k without
+PCA, reads null.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ SETTINGS = (
     Setting("per_channel", "--per-channel", _PIPELINE, FeatureConfig, "per_channel"),
     Setting("classifier", "--classifier", _PIPELINE, default="lda",
             choices=tuple(FIT_FUNCTIONS)),
-    Setting("fs", "--fs", _PIPELINE + ("import-csv",), SynthSpec, "fs"),
+    Setting("fs", "--fs", _PIPELINE + ("import-csv",) + _GENERATE, SynthSpec, "fs"),
     Setting("theta", "--theta", _EVIDENCE, EvidenceConfig, "threshold", 0.5,
             help="decision threshold"),
     Setting("delta", "--delta", _EVIDENCE, EvidenceConfig, "step", 0.1,
@@ -194,12 +197,14 @@ def _pipeline(cfg: dict) -> tuple[PreprocessParams, FeatureConfig]:
 
 
 def _report_doc(command: str, cfg: dict) -> dict:
+    """The envelope: the settings whose row lists ``command``, and their hash."""
+    cfg = {s.key: cfg[s.key] for s in SETTINGS if command in s.commands}
     if command in _PIPELINE:
         # the feature settings as the fitted pipeline holds them, and as
         # decoder.json saves them: null for a setting the mode ignores
         features = _features(cfg).to_dict()
-        cfg = {**cfg, **{s.key: features[s.field] for s in SETTINGS
-                         if s.cls in (FeatureConfig, WelchSpec)}}
+        cfg.update({s.key: features[s.field] for s in SETTINGS
+                    if s.cls in (FeatureConfig, WelchSpec)})
     return {
         "command": command,
         "version": __version__,

@@ -373,13 +373,8 @@ class WindowSet:
         if n == 0:
             return np.empty((0, self.n_channels * w))
         lo, last = _start_range(self.starts)
-        by_channel = np.ascontiguousarray(self.signal[lo : last + w].T)
-        s_c, s_t = by_channel.strides
-        rows = np.ndarray(
-            (last - lo + 1, self.n_channels, w), by_channel.dtype,
-            buffer=by_channel, strides=(s_t, s_c, s_t),
-        )
-        return rows[self.starts - lo].reshape(n, -1)
+        runs = _channel_major_runs(self.signal[lo : last + w], w)
+        return runs[self.starts - lo].reshape(n, -1)
 
     def __getitem__(self, rows: slice) -> WindowSet:
         """The windows in ``rows``, cut from this set's signal without a copy."""
@@ -394,6 +389,23 @@ class WindowSet:
             return []
         bounds = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
         return [(int(idx[a]), slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def _channel_major_runs(span: np.ndarray, length: int) -> np.ndarray:
+    """(start, channel, time) view of every length-sample run of span.
+
+    span, a (n_samples, n_channels) slice of a signal, is copied to
+    channel-major once, so each run of each channel is contiguous: a
+    flattened window gathers n_channels of them, and a Welch segment is
+    transformed along its last axis.
+    """
+    by_channel = np.ascontiguousarray(span.T)
+    n_channels, n_samples = by_channel.shape
+    s_ch, s_time = by_channel.strides
+    return np.ndarray(
+        (n_samples - length + 1, n_channels, length), by_channel.dtype,
+        buffer=by_channel, strides=(s_time, s_ch, s_time),
+    )
 
 
 def _start_range(starts: np.ndarray) -> tuple[int, int]:

@@ -183,21 +183,21 @@ class Decoder:
         config = self.pipeline.config
         if config.uses_psd:
             return self._predict_rows(raw_feature_matrix(ws, config).X)
-        s, certified = self._folded_window_scores(ws)
-        pred = (s > 0).astype(np.int64)
-        for i in np.flatnonzero(~certified):
-            row = ws[i : i + 1].flattened()
-            pred[i] = self.clf.predict(self.pipeline.transform_raw(row))[0]
-        return pred
+        return self._votes(*self._folded_window_scores(ws),
+                           lambda i: ws[i : i + 1].flattened())
 
     def _predict_rows(self, X: np.ndarray) -> np.ndarray:
         """``predict_windows`` of raw feature rows X (see there)."""
         if self._folded is None:
             return self.clf.predict(X)
-        s, certified = self._folded.scores(X)
+        return self._votes(*self._folded.scores(X), lambda i: X[i : i + 1])
+
+    def _votes(self, s: np.ndarray, certified: np.ndarray, row) -> np.ndarray:
+        """The sign of each certified folded score s, and for every other
+        score the two-step vote of row(i), its raw feature row (1, d)."""
         pred = (s > 0).astype(np.int64)
         for i in np.flatnonzero(~certified):
-            pred[i] = self.clf.predict(self.pipeline.transform_raw(X[i : i + 1]))[0]
+            pred[i] = self.clf.predict(self.pipeline.transform_raw(row(i)))[0]
         return pred
 
     def stream_votes(self, ws: WindowSet) -> Iterator[int]:

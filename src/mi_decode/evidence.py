@@ -85,8 +85,12 @@ class EvidenceConfig:
 @dataclass(frozen=True)
 class EvidenceOutcome:
     decision: Outcome
-    stop_index: int  # windows consumed (1-based); == len(trajectory)
     trajectory: tuple[float, ...]
+
+    @property
+    def stop_index(self) -> int:
+        """Windows consumed (1-based)."""
+        return len(self.trajectory)
 
 
 def _walk(
@@ -117,7 +121,7 @@ def _walk(
         else:
             yield ev, None
             continue
-        yield ev, EvidenceOutcome(decision, len(trajectory), tuple(trajectory))
+        yield ev, EvidenceOutcome(decision, tuple(trajectory))
         return
 
 
@@ -365,8 +369,12 @@ class StreamEvent:
     trial_index: int
     window_index: int  # 1-based within the trial
     evidence: float
-    state: str  # "accumulating" until the final window's Left/Right/Timeout
     outcome: EvidenceOutcome | None = None  # the trial's, on its final window only
+
+    @property
+    def state(self) -> str:
+        """"accumulating" until the final window's Left/Right/Timeout."""
+        return "accumulating" if self.outcome is None else self.outcome.decision.name
 
 
 def stream_replay(
@@ -392,12 +400,11 @@ def stream_replay(
     for t, ws in enumerate(stream_windows(rec, params)):
         votes = decoder.stream_votes(ws)
         for w, (ev, outcome) in enumerate(_walk(votes, ws.n_windows, cfg), 1):
-            state = "accumulating" if outcome is None else outcome.decision.name
             if realtime:
                 k += 1
                 time.sleep(max(0.0, t0 + k * params.step_s - time.monotonic()))
             yield StreamEvent(trial_index=t, window_index=w, evidence=ev,
-                              state=state, outcome=outcome)
+                              outcome=outcome)
 
 
 def stream_to_report(

@@ -36,7 +36,7 @@ from scipy.linalg import eigh
 
 from . import store
 from .errors import BadK, DimensionMismatch, MalformedMeta, WindowTooShort
-from .dsp import WindowSet
+from .dsp import WindowSet, _channel_major_runs
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,10 @@ class PcaTransform:
     mean: np.ndarray  # (d,)
     components: np.ndarray  # (k, d), orthonormal rows
     explained_variance_ratio: np.ndarray  # (k,)
-    k: int
+
+    @property
+    def k(self) -> int:
+        return self.components.shape[0]
 
     @property
     def d(self) -> int:
@@ -159,7 +162,7 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
     else:
         Z *= signs
     ratios = lam / total if total > 0 else np.zeros(k)
-    t = PcaTransform(mean=mean, components=components, explained_variance_ratio=ratios, k=k)
+    t = PcaTransform(mean=mean, components=components, explained_variance_ratio=ratios)
     return t, Z
 
 
@@ -214,38 +217,25 @@ CHUNK_WINDOWS = 512  # bounds the segment, spectrum and block-score working set
 @functools.lru_cache(maxsize=32)
 def _segment_plan(
     rel_starts: bytes, hop: int, n_seg: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Which distinct Welch segments (or scoring blocks) a chunk of windows
     holds.
 
     rel_starts is the chunk's int64 window starts, taken relative to its
     first window's start; window w uses the segments that start
     rel_starts[w] + s*hop, for s < n_seg. Returns the sorted distinct
-    segment starts (relative, like rel_starts) and the (windows, n_seg)
-    index of every window's segments into them. Cached because eval, grid
-    and replay of one recording ask for the same plans, and equally long
-    trials for the same plan.
+    segment starts (relative, like rel_starts), the (windows, n_seg) index
+    of every window's segments into them, and that index's n_seg columns.
+    Column s is a slice when the windows' s-th segments are evenly spaced,
+    as they are for the windows ``window_trials`` cuts at the default
+    spec, so averaging over it reads a view; any other column stays an
+    index array. Cached because eval, grid and replay of one recording ask
+    for the same plans, and equally long trials for the same plan.
     """
     rel = np.frombuffer(rel_starts, dtype=np.int64)
     seg_starts = rel[:, None] + hop * np.arange(n_seg)
     offsets, inverse = np.unique(seg_starts.ravel(), return_inverse=True)
-    plan = (offsets, inverse.reshape(-1, n_seg))
-    for a in plan:
-        a.flags.writeable = False
-    return plan
-
-
-@functools.lru_cache(maxsize=32)
-def _welch_plan(rel_starts: bytes, hop: int, n_seg: int) -> tuple[np.ndarray, tuple]:
-    """``_segment_plan`` with the index split into its n_seg columns.
-
-    Column s holds where each window's s-th segment sits among the
-    distinct segments. It is a slice when those positions are evenly
-    spaced, as they are for the windows ``window_trials`` cuts at the
-    default spec, so averaging reads a view; any other column stays an
-    index array.
-    """
-    offsets, index = _segment_plan(rel_starts, hop, n_seg)
+    index = inverse.reshape(-1, n_seg)
     columns = []
     for col in index.T.tolist():
         step = col[1] - col[0] if len(col) > 1 else 1
@@ -255,7 +245,8 @@ def _welch_plan(rel_starts: bytes, hop: int, n_seg: int) -> tuple[np.ndarray, tu
             column = np.array(col)
             column.flags.writeable = False  # cached and shared between calls
             columns.append(column)
-    return offsets, tuple(columns)
+    offsets.flags.writeable = index.flags.writeable = False
+    return offsets, index, tuple(columns)
 
 
 def _segments_per_window(win_len: int, spec: WelchSpec) -> tuple[int, int]:
@@ -266,26 +257,10 @@ def _segments_per_window(win_len: int, spec: WelchSpec) -> tuple[int, int]:
     return hop, 1 + (win_len - spec.nperseg) // hop
 
 
-def _channel_major_segments(span: np.ndarray, nperseg: int) -> np.ndarray:
-    """(start, channel, time) view of every nperseg-sample segment of span.
-
-    span, a (n_samples, n_channels) slice of a signal, is copied to
-    channel-major once, so each segment of each channel is a contiguous
-    run that the gather copies and the FFT reads along its last axis.
-    """
-    by_channel = np.ascontiguousarray(span.T)
-    n_channels, n_samples = by_channel.shape
-    s_ch, s_time = by_channel.strides
-    return np.ndarray(
-        (n_samples - nperseg + 1, n_channels, nperseg), by_channel.dtype,
-        buffer=by_channel, strides=(s_time, s_ch, s_time),
-    )
-
-
 def _periodograms(segments: np.ndarray, offsets, spec: WelchSpec,
                   fs: float) -> np.ndarray:
     """Modified periodograms (len(offsets), n_channels, n_bins) of the
-    segments at offsets of a ``_channel_major_segments`` view: Hann taper,
+    segments at offsets of a ``dsp._channel_major_runs`` view: Hann taper,
     one-sided density scaling. The one periodogram code of the package;
     each segment's bits do not depend on which others share the call."""
     taper, sum_sq = _taper(spec.nperseg)
@@ -333,8 +308,8 @@ def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec
             hi = min(lo + CHUNK_WINDOWS, group.stop)
             st = starts[lo:hi]
             first, last = int(st.min()), int(st.max())
-            segments = _channel_major_segments(signal[first : last + win_len], spec.nperseg)
-            offsets, columns = _welch_plan((st - first).tobytes(), hop, n_seg)
+            segments = _channel_major_runs(signal[first : last + win_len], spec.nperseg)
+            offsets, _, columns = _segment_plan((st - first).tobytes(), hop, n_seg)
             psd = _periodograms(segments, offsets, spec, fs)
             _mean_into(out[lo:hi], [psd[c] for c in columns])
     return out
@@ -409,7 +384,7 @@ def _window_dots(signal: np.ndarray, starts: np.ndarray, win_len: int,
     parts = [(np.empty(0), np.empty(0))]  # no windows: empty arrays
     for lo in range(0, len(starts), CHUNK_WINDOWS):
         st = starts[lo : lo + CHUNK_WINDOWS]
-        offsets, index = _segment_plan((st - st[0]).tobytes(), block, n_blocks)
+        offsets, index, _ = _segment_plan((st - st[0]).tobytes(), block, n_blocks)
         if len(offsets) < SHARED_BLOCKS_PER_WINDOW * len(st):
             chunk = blocks[st[0] + offsets]
             partial = chunk @ block_weights.T
@@ -499,7 +474,7 @@ def psd_rows(ws: WindowSet, spec: WelchSpec, per_channel: bool) -> Iterator[np.n
     makes each row equal to psd_features' row bit for bit.
     """
     hop, n_seg = _segments_per_window(ws.win_len, spec)
-    segments = _channel_major_segments(ws.signal, spec.nperseg)
+    segments = _channel_major_runs(ws.signal, spec.nperseg)
     by_start = {}
     for start in ws.starts.tolist():
         need = [start + s * hop for s in range(n_seg)]
@@ -548,6 +523,4 @@ def load_pca(path) -> PcaTransform:
     components = store.read_f32(payload_path, (k, d), DimensionMismatch)
     if not np.isfinite(components).all():
         raise MalformedMeta(f"{payload_path}: a component holds NaN or Inf")
-    return PcaTransform(
-        mean=mean, components=components, explained_variance_ratio=ratios, k=k
-    )
+    return PcaTransform(mean=mean, components=components, explained_variance_ratio=ratios)

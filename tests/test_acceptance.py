@@ -1,7 +1,9 @@
 """Acceptance gate: nine end-to-end criteria with tolerances and budgets.
 
 Each criterion is one test; the terminal summary (conftest) prints one
-PASS/FAIL line per criterion after the run.
+PASS/FAIL line per criterion after the run. Budgets are CPU seconds of
+the test process (``time.process_time``, every thread counted), so load
+from other processes on the machine does not count against them.
 """
 
 import json
@@ -58,7 +60,7 @@ R = ClassLabel.Right.value
 
 
 def test_criterion_1_bandpass_response_and_zero_phase():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     spec = BandpassSpec(4.0, 30.0, 4, FS)
     coeffs = design_bandpass(spec)
 
@@ -90,11 +92,11 @@ def test_criterion_1_bandpass_response_and_zero_phase():
     y = filter_offline(rec, coeffs).samples[:, 0]
     assert abs(int(np.argmax(y)) - center) <= 1
 
-    assert time.perf_counter() - t0 < 1.0
+    assert time.process_time() - t0 < 1.0
 
 
 def test_criterion_2_car_and_window_bookkeeping():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     session = generate_session(
         SynthSpec(seed=7, n_runs=3, trials_per_run=20), SessionKind.Offline
     )
@@ -109,11 +111,11 @@ def test_criterion_2_car_and_window_bookkeeping():
     assert np.all(per_trial == 63)  # 1 + (2496 - 512) / 32 windows per trial
     assert ws.n_windows == 3780
 
-    assert time.perf_counter() - t0 < 5.0
+    assert time.process_time() - t0 < 5.0
 
 
 def test_criterion_3_welch_peak_and_power_level():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     spec = WelchSpec()
     k = np.arange(512)
     tone = np.sin(2.0 * np.pi * 10.0 * k / FS)[:, None]
@@ -130,11 +132,11 @@ def test_criterion_3_welch_peak_and_power_level():
         total += float(np.sum(p)) * FS / spec.nperseg
     assert abs(total / n_avg - 1.0) < 0.10
 
-    assert time.perf_counter() - t0 < 5.0
+    assert time.process_time() - t0 < 5.0
 
 
 def test_criterion_4_pca_variance_and_determinism():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     rng = np.random.default_rng(7002)
 
     # full-rank fit explains everything
@@ -158,11 +160,11 @@ def test_criterion_4_pca_variance_and_determinism():
     assert a.components.tobytes() == b.components.tobytes()
     assert a.mean.tobytes() == b.mean.tobytes()
 
-    assert time.perf_counter() - t0 < 30.0
+    assert time.process_time() - t0 < 30.0
 
 
 def test_criterion_5_lda_direction_accuracy_invariance():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     rng = np.random.default_rng(7003)
 
     # direction against the closed form, to 1e-6 radians
@@ -203,11 +205,11 @@ def test_criterion_5_lda_direction_accuracy_invariance():
     off = np.abs(s0) > 1e-6
     assert np.array_equal(np.sign(s0[off]), np.sign(s1[off]))
 
-    assert time.perf_counter() - t0 < 10.0
+    assert time.process_time() - t0 < 10.0
 
 
 def test_criterion_6_accumulator_vs_brute_force():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
 
     def brute(preds, theta, delta):
         th, d = Fraction(str(theta)), Fraction(str(delta))
@@ -232,7 +234,7 @@ def test_criterion_6_accumulator_vs_brute_force():
         got = accumulate(preds, EvidenceConfig(theta, delta))
         assert (got.decision, got.stop_index) == brute(preds, theta, delta)
 
-    assert time.perf_counter() - t0 < 5.0
+    assert time.process_time() - t0 < 5.0
 
 
 class _VoteDecoder:
@@ -267,7 +269,7 @@ def _vote_windows(rng, n_trials=6, n_samples=1440):
 
 
 def test_criterion_7_grid_winner_and_scale_invariance():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     rng = np.random.default_rng(7005)
     thresholds = [i / 10 for i in range(1, 11)]
     steps = [i / 100 for i in range(1, 11)]
@@ -311,11 +313,11 @@ def test_criterion_7_grid_winner_and_scale_invariance():
         assert doubled.best.threshold == 2 * base.best.threshold
         assert doubled.best.step == 2 * base.best.step
 
-    assert time.perf_counter() - t0 < 30.0
+    assert time.process_time() - t0 < 30.0
 
 
 def test_criterion_8_end_to_end_study():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     spec = SynthSpec(seed=7)
     offline = generate_session(spec, SessionKind.Offline)
     online1 = generate_session(replace(spec, seed=8, n_runs=3), SessionKind.Online1)
@@ -368,7 +370,7 @@ def test_criterion_8_end_to_end_study():
         diffs.append(rep.tuned_on_online2 - rep.base_on_online2)
     assert float(np.mean(diffs)) >= -0.01
 
-    assert time.perf_counter() - t0 < 60.0
+    assert time.process_time() - t0 < 60.0
 
 
 def test_criterion_9_reproducible_reports(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 
 import mi_decode
 from mi_decode import store
-from mi_decode.cli import main
+from mi_decode.cli import SETTINGS, main
 from mi_decode.session import EventKind, SessionKind, load_session, save_session
 from mi_decode.synth import SynthSpec, generate_session
 from mi_decode.version import __version__
@@ -796,11 +796,23 @@ def _small_argv(command, study, decoder, tmp_path):
     }[command]
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["generate", "import-csv", "train", "eval-samples", "eval-trials", "pca-sweep",
-     "grid-search", "replay", "repro"],
-)
+COMMANDS = ["generate", "import-csv", "train", "eval-samples", "eval-trials", "pca-sweep",
+            "grid-search", "replay", "repro"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_config_holds_the_settings_the_command_takes(cli_env, tmp_path, capsys,
+                                                            command):
+    # eval-samples reads every setting from the decoder, so it reports none
+    _, study, decoder = cli_env
+    report = tmp_path / "report.json"
+    assert main(_small_argv(command, study, decoder, tmp_path) + ["--report", str(report)]) == 0
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert set(doc["config"]) == {s.key for s in SETTINGS if command in s.commands}
+    assert doc["config_hash"] == store.json_hash(doc["config"])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_report_into_missing_directory_exits_1(cli_env, tmp_path, capsys, command):
     _, study, decoder = cli_env
     report = tmp_path / "missing" / "report.json"

@@ -427,18 +427,23 @@ def test_predict_windows_equals_two_step_path(small_offline, small_online, tmp_p
         "decoder.json", "lda.json", "pca.f32le", "pca.json"]
 
 
-def test_unsure_rows_fall_back_to_the_two_step_path(small_pca_decoder, small_online,
+@pytest.mark.parametrize("decoder_name", ["small_pca_decoder", "small_decoder"],
+                         ids=["pca", "psd+pca"])
+def test_unsure_rows_fall_back_to_the_two_step_path(decoder_name, small_online, request,
                                                     monkeypatch):
-    ws = small_pca_decoder.windows(small_online.recording)
-    X = evaluate.raw_feature_matrix(ws, small_pca_decoder.pipeline.config).X
-    folded = small_pca_decoder._folded
+    # pca windows are scored from signal blocks (predict_windows), psd+pca
+    # rows from their Welch features (_predict_rows); both share _votes
+    decoder = request.getfixturevalue(decoder_name)
+    ws = decoder.windows(small_online.recording)
+    X = evaluate.raw_feature_matrix(ws, decoder.pipeline.config).X
+    folded = decoder._folded
     bound = folded.slope * np.linalg.norm(X, axis=1) + folded.offset
     # shift the bias so that window j's two-step score sits at a tenth of
     # the bound: positive, but too close to 0 for the folded sign to count
     j = len(X) // 2
-    z_w = small_pca_decoder.pipeline.transform(ws) @ small_pca_decoder.clf.weights
-    clf = replace(small_pca_decoder.clf, bias=float(bound[j] / 10 - z_w[j]))
-    shifted = replace(small_pca_decoder, clf=clf)
+    z_w = decoder.pipeline.transform(ws) @ decoder.clf.weights
+    clf = replace(decoder.clf, bias=float(bound[j] / 10 - z_w[j]))
+    shifted = replace(decoder, clf=clf)
     assert clf.score(shifted.pipeline.transform(ws))[j] > 0
     _, certified = shifted._folded.scores(X)
     flagged = np.flatnonzero(~certified)
@@ -458,6 +463,15 @@ def test_unsure_rows_fall_back_to_the_two_step_path(small_pca_decoder, small_onl
     assert len(rows) == len(flagged)
     assert all(r.shape == (1, X.shape[1]) for r in rows)
     assert np.array_equal(np.vstack(rows), X[flagged])
+
+    # streamed one window at a time, every trial gets the batch votes, and
+    # window j's row is rescored on the two-step path there too
+    rows.clear()
+    monkeypatch.setattr(evaluate, "pca_transform", counting_transform)
+    for _, sl in ws.trial_slices():
+        assert list(shifted.stream_votes(ws[sl])) == pred[sl].tolist()
+    monkeypatch.undo()
+    assert any(np.array_equal(r[0], X[j]) for r in rows)
 
 
 def _window_set(signal, starts, win_step):
