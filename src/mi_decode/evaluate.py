@@ -35,6 +35,7 @@ from .features import (
     _window_dots,
     flatten_windows,
     load_pca,
+    passband_bins,
     pca_fit_transform,
     pca_id,
     pca_transform,
@@ -60,6 +61,12 @@ class FeatureConfig:
     mode "pca": flattened time-domain window -> k principal components.
     mode "psd": per-channel Welch spectra, no reduction.
     mode "psd+pca": Welch spectra -> k principal components.
+
+    Welch spectra keep only the bins the band-pass passes (see
+    ``features.passband_bins``), which depend on the preprocessing band and
+    the session's rate: 52 per channel, 676 features per row, at the
+    defaults. A psd decoder fit on one cut refuses rows of another with
+    DimensionMismatch.
     """
 
     mode: str = MODE_PCA
@@ -90,10 +97,14 @@ class FeatureConfig:
         }
 
 
-def raw_feature_matrix(ws: WindowSet, config: FeatureConfig) -> FeatureMatrix:
-    """Per-window feature rows before any PCA (flattened time or Welch PSD)."""
+def raw_feature_matrix(
+    ws: WindowSet, config: FeatureConfig, params: PreprocessParams = PreprocessParams()
+) -> FeatureMatrix:
+    """Per-window feature rows before any PCA: flattened time, or the Welch
+    PSD bins that ``params``' band-pass passes at ws.fs."""
     if config.uses_psd:
-        return psd_features(ws, config.welch, per_channel=config.per_channel)
+        return psd_features(ws, config.welch, config.per_channel,
+                            passband_bins(params.band_spec(ws.fs), config.welch))
     return flatten_windows(ws)
 
 
@@ -106,9 +117,6 @@ class FeaturePipeline:
 
     def transform_raw(self, X: np.ndarray) -> np.ndarray:
         return pca_transform(self.pca, X) if self.pca is not None else X
-
-    def transform(self, ws: WindowSet) -> np.ndarray:
-        return self.transform_raw(raw_feature_matrix(ws, self.config).X)
 
 
 def fit_pipeline(
@@ -143,6 +151,11 @@ class Decoder:
     def windows(self, rec: Recording, causal: bool = False) -> WindowSet:
         return windows_from_recording(rec, self.params, causal=causal)
 
+    def transform(self, ws: WindowSet) -> np.ndarray:
+        """The classifier's input rows for the windows ws."""
+        raw = raw_feature_matrix(ws, self.pipeline.config, self.params).X
+        return self.pipeline.transform_raw(raw)
+
     @functools.cached_property
     def _folded(self) -> FoldedScore | None:
         """PCA and classifier as one raw-row score; derived, never saved."""
@@ -169,7 +182,7 @@ class Decoder:
         return self._folded._from_dots(*dots)
 
     def predict_windows(self, ws: WindowSet) -> np.ndarray:
-        """Labels (0=Left, 1=Right) equal to ``clf.predict(pipeline.transform(ws))``.
+        """Labels (0=Left, 1=Right) equal to ``clf.predict(transform(ws))``.
 
         With a PCA stage, each raw feature row x is scored once, as
         ``x . w_eff + b_eff`` (see ``LinearClassifier.fold``); in ``pca``
@@ -182,7 +195,7 @@ class Decoder:
         """
         config = self.pipeline.config
         if config.uses_psd:
-            return self._predict_rows(raw_feature_matrix(ws, config).X)
+            return self._predict_rows(raw_feature_matrix(ws, config, self.params).X)
         return self._votes(*self._folded_window_scores(ws),
                            lambda i: ws[i : i + 1].flattened())
 
@@ -211,7 +224,8 @@ class Decoder:
         """
         config = self.pipeline.config
         if config.uses_psd:
-            for row in psd_rows(ws, config.welch, config.per_channel):
+            bins = passband_bins(self.params.band_spec(ws.fs), config.welch)
+            for row in psd_rows(ws, config.welch, config.per_channel, bins):
                 yield int(self._predict_rows(row)[0])
         else:
             for w in range(ws.n_windows):
@@ -303,7 +317,7 @@ def runwise_cv(
     clf_kind: str = "lda",
 ) -> CvReport:
     ws = windows_from_recording(session.recording, params)
-    return cv_from_matrix(raw_feature_matrix(ws, config), config, clf_kind)
+    return cv_from_matrix(raw_feature_matrix(ws, config, params), config, clf_kind)
 
 
 @dataclass(frozen=True)
@@ -340,7 +354,7 @@ def pca_sweep(
     if not config.uses_pca:
         raise BadK(f"mode {config.mode!r} has no PCA stage to sweep")
     ws = windows_from_recording(session.recording, params)
-    fm = raw_feature_matrix(ws, config)
+    fm = raw_feature_matrix(ws, config, params)
     reports = _cv_per_k(fm, config, ks, clf_kind)
     points = tuple((k, rep.mean) for k, rep in zip(ks, reports))
     return SweepReport(points=points, reports=tuple(reports))
@@ -376,7 +390,7 @@ def train_decoder(
     labels = []
     for s in sessions:
         ws = windows_from_recording(s.recording, params)
-        fm = raw_feature_matrix(ws, config)
+        fm = raw_feature_matrix(ws, config, params)
         raws.append(fm.X)
         labels.append(fm.labels)
     X = raws[0] if len(raws) == 1 else np.vstack(raws)

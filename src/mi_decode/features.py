@@ -11,17 +11,21 @@ pca_fit_transform also returns the fitted rows' projections, read off the
 decomposition rather than computed by projecting the rows again.
 The Welch estimator uses Hann-tapered, 50%-overlapping modified
 periodograms with one-sided density scaling; nperseg=256 at fs=512 gives
-the 129 bins the rest of the pipeline expects. One function,
-_periodograms, computes every periodogram: of channel-major segments,
-transformed along their contiguous last axis. Overlapping windows share
-segments: psd_features works one trial at a time, transposes the trial's
-samples once, transforms each distinct segment start once and adds every
-window's own segments into its row in the same order as welch_psd, so
-each feature row equals welch_psd of its window bit for bit. psd_rows
-gives the same rows one streamed window at a time, transforming only the
-segments that no earlier window of the trial needed. Linear
-scores of flattened windows are summed the same way, from time blocks of
-the signal that overlapping windows share, without flattening them.
+129 bins of 2 Hz, all of which welch_psd returns. Feature rows keep only
+the leading bins the band-pass lets through (passband_bins): bins 0-51,
+up to 102 Hz, at the default 4-30 Hz order-4 band, so a 13-channel row
+holds 676 features. One function, _periodograms, computes every
+periodogram: of channel-major segments, transformed along their contiguous
+last axis and cut to the kept bins before they are squared. Overlapping
+windows share segments: psd_features works one trial at a time,
+transposes the trial's samples once, transforms each distinct segment
+start once and adds every window's own segments into its row in the same
+order as welch_psd, so each feature row equals the kept bins of welch_psd
+of its window bit for bit. psd_rows gives the same rows one streamed
+window at a time, transforming only the segments that no earlier window
+of the trial needed. Linear scores of flattened windows are summed the
+same way, from time blocks of the signal that overlapping windows share,
+without flattening them.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from typing import Iterator
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.signal import sosfreqz
 
 from . import store
 from .errors import BadK, DimensionMismatch, MalformedMeta, WindowTooShort
-from .dsp import WindowSet, _channel_major_runs
+from .dsp import BandpassSpec, WindowSet, _channel_major_runs, design_bandpass
 
 
 @dataclass(frozen=True)
@@ -199,6 +204,32 @@ class WelchSpec:
         return self.nperseg // 2 + 1
 
 
+# A PSD bin above the band is kept while the causal (one-pass) band-pass,
+# the weaker of the two filter paths, still passes at least this gain
+# (-26 dB). At the default 4-30 Hz order-4 band and fs=512 the 102 Hz bin
+# passes 0.0508 and the 104 Hz bin 0.0482; a floor of 0.1 would fall on
+# the 78 Hz bin (0.09993), where rounding decides.
+PSD_GAIN_FLOOR = 0.05
+
+
+@functools.lru_cache(maxsize=16)
+def passband_bins(band: BandpassSpec, spec: WelchSpec) -> int:
+    """How many leading bins of a Welch PSD feature rows keep: every bin
+    below the first bin above band.high_hz where the causal band-pass gain
+    falls under PSD_GAIN_FLOOR, or all spec.n_bins when none does (each
+    section has a zero at Nyquist, so an even nperseg always loses that
+    bin).
+
+    52 of 129 (0-102 Hz) at the defaults. More bins pass a higher high_hz
+    and fewer a steeper order; the cut depends on the band and the bin
+    width only relative to band.fs.
+    """
+    freqs = np.arange(spec.n_bins) * (band.fs / spec.nperseg)
+    _, response = sosfreqz(design_bandpass(band).sos, worN=freqs, fs=band.fs)
+    cut = np.flatnonzero((freqs > band.high_hz) & (np.abs(response) < PSD_GAIN_FLOOR))
+    return int(cut[0]) if len(cut) else spec.n_bins
+
+
 def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
@@ -257,24 +288,24 @@ def _segments_per_window(win_len: int, spec: WelchSpec) -> tuple[int, int]:
     return hop, 1 + (win_len - spec.nperseg) // hop
 
 
-def _periodograms(segments: np.ndarray, offsets, spec: WelchSpec,
-                  fs: float) -> np.ndarray:
-    """Modified periodograms (len(offsets), n_channels, n_bins) of the
+def _periodograms(segments: np.ndarray, offsets, spec: WelchSpec, fs: float,
+                  bins: int) -> np.ndarray:
+    """Modified periodograms (len(offsets), n_channels, bins) of the
     segments at offsets of a ``dsp._channel_major_runs`` view: Hann taper,
-    one-sided density scaling. The one periodogram code of the package;
-    each segment's bits do not depend on which others share the call."""
+    one-sided density scaling, the first bins of spec.n_bins. The one
+    periodogram code of the package; each segment's bits do not depend on
+    which others share the call, nor on how many bins are kept."""
     taper, sum_sq = _taper(spec.nperseg)
     segs = segments[offsets]
     segs *= taper
-    spectrum = np.fft.rfft(segs)
+    spectrum = np.fft.rfft(segs)[..., :bins]
     del segs
     psd = np.square(spectrum.real)
     psd += np.square(spectrum.imag)
     del spectrum
     psd *= 1.0 / (fs * sum_sq)
-    psd[..., 1:-1] *= 2.0  # one-sided: double all bins but DC and Nyquist
-    if spec.nperseg % 2:  # odd nperseg has no Nyquist bin
-        psd[..., -1] *= 2.0
+    # one-sided: double every bin but DC and, when nperseg is even, Nyquist
+    psd[..., 1 : spec.n_bins - 1 + spec.nperseg % 2] *= 2.0
     return psd
 
 
@@ -288,9 +319,9 @@ def _mean_into(out: np.ndarray, parts) -> None:
 
 
 def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec,
-           fs: float, groups) -> np.ndarray:
-    """Welch PSDs (n_windows, n_channels, n_bins) of the windows
-    signal[starts[i] : starts[i] + win_len].
+           fs: float, groups, bins: int) -> np.ndarray:
+    """Welch PSDs (n_windows, n_channels, bins), the first bins of
+    spec.n_bins, of the windows signal[starts[i] : starts[i] + win_len].
 
     signal is a C-ordered (n_samples, n_channels) float64 array; groups
     are slices of the rows, one per trial. A group is done CHUNK_WINDOWS
@@ -302,7 +333,7 @@ def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec
     segment exactly when it starts at the same sample of the signal.
     """
     hop, n_seg = _segments_per_window(win_len, spec)
-    out = np.empty((len(starts), signal.shape[1], spec.n_bins))
+    out = np.empty((len(starts), signal.shape[1], bins))
     for group in groups:
         for lo in range(group.start, group.stop, CHUNK_WINDOWS):
             hi = min(lo + CHUNK_WINDOWS, group.stop)
@@ -310,7 +341,7 @@ def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec
             first, last = int(st.min()), int(st.max())
             segments = _channel_major_runs(signal[first : last + win_len], spec.nperseg)
             offsets, _, columns = _segment_plan((st - first).tobytes(), hop, n_seg)
-            psd = _periodograms(segments, offsets, spec, fs)
+            psd = _periodograms(segments, offsets, spec, fs, bins)
             _mean_into(out[lo:hi], [psd[c] for c in columns])
     return out
 
@@ -406,7 +437,7 @@ def welch_psd(window: np.ndarray, spec: WelchSpec, fs: float) -> np.ndarray:
     if window.ndim != 2:
         raise WindowTooShort(f"window must be 2-D, got shape {window.shape}")
     return _welch(window, np.zeros(1, dtype=np.int64), window.shape[0], spec, fs,
-                  [slice(0, 1)])[0]
+                  [slice(0, 1)], spec.n_bins)[0]
 
 
 @dataclass(frozen=True)
@@ -434,13 +465,16 @@ def flatten_windows(ws: WindowSet) -> FeatureMatrix:
 
 
 def psd_features(
-    ws: WindowSet, spec: WelchSpec | None = None, per_channel: bool = True
+    ws: WindowSet, spec: WelchSpec | None = None, per_channel: bool = True,
+    bins: int | None = None,
 ) -> FeatureMatrix:
-    """Welch-PSD features for every window.
+    """Welch-PSD features for every window, of the first bins of each
+    spectrum (all spec.n_bins when bins is None).
 
-    per_channel=True concatenates the per-channel spectra channel-major
-    (13 channels x 129 bins = 1677 features); per_channel=False averages
-    across channels down to one 129-bin spectrum per window.
+    per_channel=True concatenates the per-channel spectra channel-major;
+    per_channel=False averages across channels down to one spectrum per
+    window. The pipeline keeps passband_bins of the band it filtered with:
+    13 channels x 52 bins = 676 features at the defaults, of 13 x 129.
 
     Windows of one trial overlap, and so do their Welch segments: at the
     default 32-sample window step and 128-sample segment hop, a 63-window
@@ -453,7 +487,8 @@ def psd_features(
     """
     spec = spec or WelchSpec()
     groups = [sl for _, sl in ws.trial_slices()]
-    psd = _welch(ws.signal, ws.starts, ws.win_len, spec, ws.fs, groups)
+    psd = _welch(ws.signal, ws.starts, ws.win_len, spec, ws.fs, groups,
+                 bins or spec.n_bins)
     return FeatureMatrix(
         X=_feature_rows(psd, per_channel),
         labels=ws.labels,
@@ -462,9 +497,10 @@ def psd_features(
     )
 
 
-def psd_rows(ws: WindowSet, spec: WelchSpec, per_channel: bool) -> Iterator[np.ndarray]:
-    """``psd_features(ws, spec, per_channel).X`` one (1, n_features) row at
-    a time, in window order, each computed only when the caller asks.
+def psd_rows(ws: WindowSet, spec: WelchSpec, per_channel: bool,
+             bins: int | None = None) -> Iterator[np.ndarray]:
+    """``psd_features(ws, spec, per_channel, bins).X`` one (1, n_features)
+    row at a time, in window order, each computed only when the caller asks.
 
     Meant for one trial's windows as they stream in: ws.signal is
     transposed to channel-major once, and a store keyed by segment start
@@ -474,14 +510,15 @@ def psd_rows(ws: WindowSet, spec: WelchSpec, per_channel: bool) -> Iterator[np.n
     makes each row equal to psd_features' row bit for bit.
     """
     hop, n_seg = _segments_per_window(ws.win_len, spec)
+    bins = bins or spec.n_bins
     segments = _channel_major_runs(ws.signal, spec.nperseg)
     by_start = {}
     for start in ws.starts.tolist():
         need = [start + s * hop for s in range(n_seg)]
         new = [o for o in need if o not in by_start]
         if new:
-            by_start.update(zip(new, _periodograms(segments, new, spec, ws.fs)))
-        psd = np.empty((1, ws.n_channels, spec.n_bins))
+            by_start.update(zip(new, _periodograms(segments, new, spec, ws.fs, bins)))
+        psd = np.empty((1, ws.n_channels, bins))
         _mean_into(psd[0], [by_start[o] for o in need])
         yield _feature_rows(psd, per_channel)
 

@@ -15,7 +15,11 @@ import pytest
 
 import mi_decode
 from mi_decode import store
+from mi_decode.classify import fit_classifier
 from mi_decode.cli import SETTINGS, main
+from mi_decode.dsp import PreprocessParams, windows_from_recording
+from mi_decode.evaluate import Decoder, FeatureConfig, FeaturePipeline, save_decoder
+from mi_decode.features import psd_features
 from mi_decode.session import EventKind, SessionKind, load_session, save_session
 from mi_decode.synth import SynthSpec, generate_session
 from mi_decode.version import __version__
@@ -749,6 +753,51 @@ def test_replay_refuses_a_non_integer_window_step(cli_env, tmp_path, capsys):
     streamed, batch = _stream_and_batch_errors(capsys, decoder, tmp_path / "500hz")
     assert streamed == batch == (
         "error: NonIntegerWindow: window step of 0.0625s is 31.25 samples at fs=500.0")
+
+
+def test_psd_decoder_of_all_129_bins_is_refused(cli_env, tmp_path, capsys):
+    # a psd decoder fit on every bin of the spectra, as rows held them
+    # before they kept only the bins the band-pass passes
+    _, study, _ = cli_env
+    offline = load_session(study / "offline")
+    fm = psd_features(windows_from_recording(offline.recording, PreprocessParams()))
+    assert fm.n_features == 13 * 129
+    old = Decoder(PreprocessParams(), FeaturePipeline(FeatureConfig(mode="psd", k=None), None),
+                  fit_classifier("lda", fm.X, fm.labels), {})
+    save_decoder(old, tmp_path / "old")
+    rc = main(["eval-samples", "--decoder", str(tmp_path / "old"),
+               "--session", str(study / "online1")])
+    _single_error(capsys, rc, "DimensionMismatch")
+    streamed, batch = _stream_and_batch_errors(capsys, tmp_path / "old", study / "online1")
+    assert streamed == batch
+    assert streamed.startswith("error: DimensionMismatch: ")
+
+
+def test_train_checks_the_band_at_the_session_rate(cli_env, tmp_path, capsys):
+    # a 4-30 Hz band is valid at the study's 512 Hz, whatever rate the
+    # config file names; train reports no rate of its own
+    _, study, _ = cli_env
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fs": 60.0}), encoding="utf-8")
+    doc = run_json(capsys, ["train", "--session", str(study / "offline"),
+                            "--out", str(tmp_path / "dec"), "--mode", "psd",
+                            "--config", str(cfg)])
+    assert "fs" not in doc["config"]
+    assert doc["decoder"]["n_features"] == 13 * 52
+    # a band that the session's rate cannot hold is refused when it is filtered
+    rc = main(["train", "--session", str(study / "offline"), "--out", str(tmp_path / "bad"),
+               "--mode", "psd", "--band-high", "300"])
+    _single_error(capsys, rc, "InvalidBand")
+
+
+@pytest.mark.parametrize("argv", [["train", "--session", "s", "--out", "d"],
+                                  ["pca-sweep", "--session", "s"], ["repro", "--study", "s"]],
+                         ids=lambda argv: argv[0])
+def test_pipeline_commands_take_no_rate_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--fs", "100000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fs 100000" in capsys.readouterr().err
 
 
 def test_grid_search_non_finite_alpha_exits_1(cli_env, capsys):

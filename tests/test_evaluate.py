@@ -384,8 +384,8 @@ def test_decoder_round_trip(small_decoder, small_online, tmp_path):
     assert back.provenance == small_decoder.provenance
 
     ws = small_decoder.windows(small_online.recording)
-    s_orig = small_decoder.clf.score(small_decoder.pipeline.transform(ws))
-    s_back = back.clf.score(back.pipeline.transform(ws))
+    s_orig = small_decoder.clf.score(small_decoder.transform(ws))
+    s_back = back.clf.score(back.transform(ws))
     # PCA components travel as float32; scores agree to that precision
     assert np.allclose(s_back, s_orig, rtol=1e-4, atol=1e-6)
     agree = np.mean(back.predict_windows(ws) == small_decoder.predict_windows(ws))
@@ -406,7 +406,7 @@ def test_psd_decoder_round_trip(small_offline, small_online, tmp_path):
 
 
 def _two_step_prediction(decoder, ws):
-    return decoder.clf.predict(decoder.pipeline.transform(ws))
+    return decoder.clf.predict(decoder.transform(ws))
 
 
 @pytest.mark.parametrize(
@@ -441,10 +441,10 @@ def test_unsure_rows_fall_back_to_the_two_step_path(decoder_name, small_online, 
     # shift the bias so that window j's two-step score sits at a tenth of
     # the bound: positive, but too close to 0 for the folded sign to count
     j = len(X) // 2
-    z_w = decoder.pipeline.transform(ws) @ decoder.clf.weights
+    z_w = decoder.transform(ws) @ decoder.clf.weights
     clf = replace(decoder.clf, bias=float(bound[j] / 10 - z_w[j]))
     shifted = replace(decoder, clf=clf)
-    assert clf.score(shifted.pipeline.transform(ws))[j] > 0
+    assert clf.score(shifted.transform(ws))[j] > 0
     _, certified = shifted._folded.scores(X)
     flagged = np.flatnonzero(~certified)
     assert j in flagged and len(flagged) < len(X)

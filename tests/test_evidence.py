@@ -26,7 +26,7 @@ from mi_decode.errors import (
     NoTrials,
     TrialTooShort,
 )
-from mi_decode.evaluate import Decoder, FeatureConfig, train_decoder
+from mi_decode.evaluate import Decoder, FeatureConfig, raw_feature_matrix, train_decoder
 from mi_decode.evidence import (
     EvidenceConfig,
     Outcome,
@@ -36,7 +36,6 @@ from mi_decode.evidence import (
     stream_replay,
     stream_to_report,
 )
-from mi_decode.features import psd_features
 from mi_decode.session import ClassLabel, Recording, SessionKind
 from mi_decode.synth import generate_session
 
@@ -554,7 +553,8 @@ def test_stream_scores_the_batch_feature_rows(small_decoder, stream_session, mon
     # every trial times out, so every window of the session is scored
     events = list(stream_replay(small_decoder, rec, EvidenceConfig(1.0, 0.01)))
     monkeypatch.undo()
-    batch = psd_features(windows_from_recording(rec, small_decoder.params, causal=True)).X
+    ws = windows_from_recording(rec, small_decoder.params, causal=True)
+    batch = raw_feature_matrix(ws, small_decoder.pipeline.config, small_decoder.params).X
     assert len(scored) == len(events) == batch.shape[0]
     assert np.array_equal(np.vstack(scored), batch)
 

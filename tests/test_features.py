@@ -9,6 +9,7 @@ from scipy import signal
 
 import mi_decode.features as features
 from mi_decode.dsp import (
+    BandpassSpec,
     PreprocessParams,
     Trial,
     WindowSet,
@@ -23,12 +24,14 @@ from mi_decode.errors import (
     MissingFile,
     WindowTooShort,
 )
+from mi_decode.evaluate import FeatureConfig, raw_feature_matrix
 from mi_decode.features import (
     PCA_PAYLOAD_NAME,
     PcaTransform,
     WelchSpec,
     flatten_windows,
     load_pca,
+    passband_bins,
     pca_fit,
     pca_fit_transform,
     pca_id,
@@ -391,6 +394,38 @@ def test_psd_features_channel_average():
     assert np.array_equal(fm.X[10], direct.mean(axis=0))
 
 
+@pytest.mark.parametrize("per_channel", [True, False], ids=["per-channel", "channel-mean"])
+def test_psd_features_keep_the_passband_bins_of_welch_psd(session_windows, per_channel):
+    bins = passband_bins(PreprocessParams().band_spec(FS), WelchSpec())
+    X = psd_features(session_windows, per_channel=per_channel, bins=bins).X
+    # the first bins of every spectrum of the uncut rows, bit for bit
+    full = psd_features(session_windows, per_channel=per_channel).X
+    assert np.array_equal(X, full.reshape(630, -1, 129)[..., :bins].reshape(630, -1))
+    assert X.shape == (630, 13 * bins if per_channel else bins)
+    if per_channel:
+        for i, window in enumerate(session_windows.windows):
+            kept = welch_psd(window, WelchSpec(), FS)[:, :bins]
+            assert np.array_equal(X[i], kept.reshape(-1)), f"window {i}"
+
+
+def test_passband_bins():
+    spec = WelchSpec()
+    # 2 Hz bins: the 102 Hz bin passes 0.0508 of the causal band-pass, the
+    # 104 Hz bin 0.0482
+    assert passband_bins(BandpassSpec(4.0, 30.0, 4, FS), spec) == 52
+    assert passband_bins(BandpassSpec(4.0, 40.0, 4, FS), spec) > 52
+    assert passband_bins(BandpassSpec(4.0, 30.0, 8, FS), spec) < 52
+    # the digital filter and the bins depend on frequency only relative to
+    # fs, so doubling fs and the band keeps the cut; doubling fs alone
+    # keeps 29 bins of 4 Hz (0-112 Hz), the bilinear map squeezing the
+    # response less at the higher rate
+    assert passband_bins(BandpassSpec(8.0, 60.0, 4, 2 * FS), spec) == 52
+    assert passband_bins(BandpassSpec(4.0, 30.0, 4, 2 * FS), spec) == 29
+    # a band up to 250 Hz keeps every bin but Nyquist, where each section
+    # of the band-pass has a zero
+    assert passband_bins(BandpassSpec(4.0, 250.0, 2, FS), spec) == spec.n_bins - 1
+
+
 def test_psd_features_chunking_is_seamless():
     # more than 512 windows forces at least two internal chunks
     ws = _window_set(n_samples=512 + 32 * 520, n_ch=2)
@@ -573,12 +608,14 @@ def streamed_recording():
 )
 def test_streamed_rows_equal_psd_features_rows(streamed_recording, spec, per_channel):
     params = PreprocessParams()
-    batch = psd_features(windows_from_recording(streamed_recording, params, causal=True),
-                         spec, per_channel=per_channel).X
-    streamed = [row for ws in stream_windows(streamed_recording, params)
-                for row in psd_rows(ws, spec, per_channel)]
-    assert all(row.shape == (1, batch.shape[1]) for row in streamed)
-    assert np.array_equal(np.vstack(streamed), batch)
+    # every bin, and the bins the band-pass passes
+    for bins in (None, passband_bins(params.band_spec(streamed_recording.fs), spec)):
+        batch = psd_features(windows_from_recording(streamed_recording, params, causal=True),
+                             spec, per_channel=per_channel, bins=bins).X
+        streamed = [row for ws in stream_windows(streamed_recording, params)
+                    for row in psd_rows(ws, spec, per_channel, bins)]
+        assert all(row.shape == (1, batch.shape[1]) for row in streamed)
+        assert np.array_equal(np.vstack(streamed), batch)
 
 
 @pytest.mark.parametrize(
@@ -607,7 +644,10 @@ def test_streamed_window_transforms_only_its_new_segments(rfft_segments, step_s,
 def test_standard_full_size_feature_count():
     ws = _window_set(n_ch=13)
     assert flatten_windows(ws).n_features == 6656
-    assert psd_features(ws).n_features == 1677
+    assert psd_features(ws).n_features == 1677  # all 129 bins per channel
+    # the pipeline keeps the 52 bins the default band-pass passes
+    psd = FeatureConfig(mode="psd", k=None)
+    assert raw_feature_matrix(ws, psd, PreprocessParams()).n_features == 676
 
 
 # --- persistence ------------------------------------------------------------
