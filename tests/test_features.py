@@ -380,10 +380,13 @@ def test_psd_features_per_channel_layout():
     ws = _window_set(n_ch=3)
     fm = psd_features(ws)
     assert fm.X.shape == (63, 3 * 129)
+    cut = psd_features(ws, bins=52)  # the bins the default band-pass passes
+    assert cut.X.shape == (63, 3 * 52)
     for i in (0, 31, 62):
         direct = welch_psd(ws.windows[i], WelchSpec(), FS)
         for ch in range(3):
             assert np.array_equal(fm.X[i, ch * 129 : (ch + 1) * 129], direct[ch])
+            assert np.array_equal(cut.X[i, ch * 52 : (ch + 1) * 52], direct[ch, :52])
 
 
 def test_psd_features_channel_average():
@@ -392,20 +395,9 @@ def test_psd_features_channel_average():
     assert fm.X.shape == (63, 129)
     direct = welch_psd(ws.windows[10], WelchSpec(), FS)
     assert np.array_equal(fm.X[10], direct.mean(axis=0))
-
-
-@pytest.mark.parametrize("per_channel", [True, False], ids=["per-channel", "channel-mean"])
-def test_psd_features_keep_the_passband_bins_of_welch_psd(session_windows, per_channel):
-    bins = passband_bins(PreprocessParams().band_spec(FS), WelchSpec())
-    X = psd_features(session_windows, per_channel=per_channel, bins=bins).X
-    # the first bins of every spectrum of the uncut rows, bit for bit
-    full = psd_features(session_windows, per_channel=per_channel).X
-    assert np.array_equal(X, full.reshape(630, -1, 129)[..., :bins].reshape(630, -1))
-    assert X.shape == (630, 13 * bins if per_channel else bins)
-    if per_channel:
-        for i, window in enumerate(session_windows.windows):
-            kept = welch_psd(window, WelchSpec(), FS)[:, :bins]
-            assert np.array_equal(X[i], kept.reshape(-1)), f"window {i}"
+    cut = psd_features(ws, per_channel=False, bins=52)
+    assert np.array_equal(cut.X, fm.X[:, :52])
+    assert np.array_equal(cut.X[10], direct[:, :52].mean(axis=0))
 
 
 def test_passband_bins():
