@@ -14,7 +14,8 @@ runs of one checkout must always do so (``diff -r`` of their OUTDIRs is
 empty). The second digest is for reading only: when a change moves only
 the bits of fitted decoders, it stays equal while the first one moves.
 OUTDIR must be empty or absent. Exits 1, naming the command, if any
-command fails.
+command fails; exits 1 with nothing on stderr if stdout is closed before
+the digests are written (the outputs in OUTDIR are complete by then).
 """
 
 from __future__ import annotations
@@ -116,8 +117,16 @@ def main(argv: list[str]) -> int:
             return 1
     files = [p for p in out.rglob("*") if p.is_file()]
     outside = [p for p in files if not p.relative_to(out).parts[0].startswith("dec-")]
-    print(f"{tree_digest(out, files)}  all {len(files)} files")
-    print(f"{tree_digest(out, outside)}  the {len(outside)} files outside dec-*/")
+    try:
+        print(f"{tree_digest(out, files)}  all {len(files)} files")
+        print(f"{tree_digest(out, outside)}  the {len(outside)} files outside dec-*/")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away (``... OUTDIR | head -1``): point
+        # stdout at devnull so that the interpreter's last flush cannot fail
+        # again, and exit quietly, as the CLI does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -83,8 +83,6 @@ class LinearClassifier:
     kind: str  # "lda" or "centroid"
     weights: np.ndarray  # (k,)
     bias: float
-    class_means: np.ndarray  # (2, k), row order Left, Right
-    priors: np.ndarray  # (2,)
 
     @property
     def n_features(self) -> int:
@@ -194,13 +192,7 @@ def lda_fit(X: np.ndarray, y: np.ndarray) -> LinearClassifier:
 
     priors = np.array([n_l / n, len(right) / n])
     bias = float(-w @ (mu_l + mu_r) / 2.0 + np.log(priors[1] / priors[0]))
-    return LinearClassifier(
-        kind="lda",
-        weights=w,
-        bias=bias,
-        class_means=np.stack([mu_l, mu_r]),
-        priors=priors,
-    )
+    return LinearClassifier(kind="lda", weights=w, bias=bias)
 
 
 def centroid_fit(X: np.ndarray, y: np.ndarray) -> LinearClassifier:
@@ -214,14 +206,7 @@ def centroid_fit(X: np.ndarray, y: np.ndarray) -> LinearClassifier:
     mu_r = X[right].mean(axis=0)
     w = mu_r - mu_l
     bias = float(mu_l @ mu_l - mu_r @ mu_r) / 2.0
-    priors = np.array([len(left) / len(X), len(right) / len(X)])
-    return LinearClassifier(
-        kind="centroid",
-        weights=w,
-        bias=bias,
-        class_means=np.stack([mu_l, mu_r]),
-        priors=priors,
-    )
+    return LinearClassifier(kind="centroid", weights=w, bias=bias)
 
 
 FIT_FUNCTIONS = {"lda": lda_fit, "centroid": centroid_fit}
@@ -244,14 +229,11 @@ def save_classifier(clf: LinearClassifier, path, pca_id: str | None) -> None:
         "k": clf.n_features,
         "weights": [float(v) for v in clf.weights],
         "bias": clf.bias,
-        "class_means": [[float(v) for v in row] for row in clf.class_means],
-        "priors": [float(v) for v in clf.priors],
         "pca_id": pca_id,
     })
 
 
-MODEL_FIELDS = {"kind": "", "k": 0, "weights": [0.0], "bias": 0.0, "class_means": [[0.0]],
-                "priors": [0.0]}
+MODEL_FIELDS = {"kind": "", "k": 0, "weights": [0.0], "bias": 0.0}
 
 
 def load_classifier(path) -> tuple[LinearClassifier, str | None]:
@@ -261,17 +243,9 @@ def load_classifier(path) -> tuple[LinearClassifier, str | None]:
     pid = doc.get("pca_id")  # null for a mode without PCA
     if pid is not None:
         store.json_setting(pid, "", f"{model_path} 'pca_id'")
-    k = f["k"]
-    sizes = (len(f["weights"]), [len(row) for row in f["class_means"]], len(f["priors"]))
-    if sizes != (k, [k, k], 2):
-        raise MalformedMeta(
-            f"{model_path}: weights, class_means and priors of sizes {sizes} for k={k}"
-        )
+    if len(f["weights"]) != f["k"]:
+        raise MalformedMeta(f"{model_path}: {len(f['weights'])} weights for k={f['k']}")
     clf = LinearClassifier(
-        kind=f["kind"],
-        weights=np.array(f["weights"], dtype=np.float64),
-        bias=f["bias"],
-        class_means=np.array(f["class_means"], dtype=np.float64),
-        priors=np.array(f["priors"], dtype=np.float64),
+        kind=f["kind"], weights=np.array(f["weights"], dtype=np.float64), bias=f["bias"]
     )
     return clf, pid

@@ -116,7 +116,6 @@ SETTINGS = (
     Setting("k", "--pca", _PIPELINE, FeatureConfig, "k", help="PCA component count"),
     Setting("nperseg", "--nperseg", _PIPELINE, WelchSpec, "nperseg"),
     Setting("noverlap", "--noverlap", _PIPELINE, WelchSpec, "noverlap"),
-    Setting("per_channel", "--per-channel", _PIPELINE, FeatureConfig, "per_channel"),
     Setting("classifier", "--classifier", _PIPELINE, default="lda",
             choices=tuple(FIT_FUNCTIONS)),
     Setting("fs", "--fs", ("import-csv",) + _GENERATE, SynthSpec, "fs"),

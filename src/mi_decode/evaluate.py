@@ -60,9 +60,11 @@ class FeatureConfig:
 
     mode "pca": flattened time-domain window -> k principal components.
     mode "psd": per-channel Welch spectra, no reduction.
-    mode "psd+pca": Welch spectra -> k principal components.
+    mode "psd+pca": per-channel Welch spectra -> k principal components.
 
-    Welch spectra keep only the bins the band-pass passes (see
+    Spectra stay per channel, concatenated channel-major: the Left/Right
+    contrast is lateralized (C3 against C4) and a channel mean cancels it.
+    They keep only the bins the band-pass passes (see
     ``features.passband_bins``), which depend on the preprocessing band and
     the session's rate: 52 per channel, 676 features per row, at the
     defaults. A psd decoder fit on one cut refuses rows of another with
@@ -72,7 +74,6 @@ class FeatureConfig:
     mode: str = MODE_PCA
     k: int | None = 800
     welch: WelchSpec = WelchSpec()
-    per_channel: bool = True
 
     def __post_init__(self):
         if self.mode not in FEATURE_MODES:
@@ -93,7 +94,6 @@ class FeatureConfig:
             "mode": self.mode,
             "k": self.k if self.uses_pca else None,
             **asdict(self.welch),
-            "per_channel": self.per_channel,
         }
 
 
@@ -103,7 +103,7 @@ def raw_feature_matrix(
     """Per-window feature rows before any PCA: flattened time, or the Welch
     PSD bins that ``params``' band-pass passes at ws.fs."""
     if config.uses_psd:
-        return psd_features(ws, config.welch, config.per_channel,
+        return psd_features(ws, config.welch,
                             passband_bins(params.band_spec(ws.fs), config.welch))
     return flatten_windows(ws)
 
@@ -225,7 +225,7 @@ class Decoder:
         config = self.pipeline.config
         if config.uses_psd:
             bins = passband_bins(self.params.band_spec(ws.fs), config.welch)
-            for row in psd_rows(ws, config.welch, config.per_channel, bins):
+            for row in psd_rows(ws, config.welch, bins):
                 yield int(self._predict_rows(row)[0])
         else:
             for w in range(ws.n_windows):
@@ -492,7 +492,6 @@ def save_decoder(decoder: Decoder, path) -> None:
     store.write_json(path / DECODER_META_NAME, {
         "preprocess": decoder.params.to_dict(),
         "features": decoder.pipeline.config.to_dict(),
-        "classifier": decoder.clf.kind,
         "provenance": decoder.provenance,
     })
 

@@ -13,10 +13,13 @@ The Welch estimator uses Hann-tapered, 50%-overlapping modified
 periodograms with one-sided density scaling; nperseg=256 at fs=512 gives
 129 bins of 2 Hz, all of which welch_psd returns. Feature rows keep only
 the leading bins the band-pass lets through (passband_bins): bins 0-51,
-up to 102 Hz, at the default 4-30 Hz order-4 band, so a 13-channel row
-holds 676 features. One function, _periodograms, computes every
-periodogram: of channel-major segments, transformed along their contiguous
-last axis and cut to the kept bins before they are squared. Overlapping
+up to 102 Hz, at the default 4-30 Hz order-4 band. A row holds each
+channel's kept bins, channel-major (676 features for 13 channels), never
+their channel mean: Left and Right imagery differ in which hemisphere's
+rhythm is damped (C3 against C4), and a mean over channels cancels that
+contrast. One function, _periodograms, computes every periodogram: of
+channel-major segments, transformed along their contiguous last axis and
+cut to the kept bins before they are squared. Overlapping
 windows share segments: psd_features works one trial at a time,
 transposes the trial's samples once, transforms each distinct segment
 start once and adds every window's own segments into its row in the same
@@ -189,15 +192,12 @@ def pca_transform(t: PcaTransform, X: np.ndarray) -> np.ndarray:
 class WelchSpec:
     nperseg: int = 256
     noverlap: int = 128
-    taper: str = "hann"  # periodic Hann; the only taper implemented
 
     def __post_init__(self):
         if not 0 <= self.noverlap < self.nperseg:
             raise WindowTooShort(
                 f"need 0 <= noverlap < nperseg, got {self.noverlap}/{self.nperseg}"
             )
-        if self.taper != "hann":
-            raise ValueError(f"unsupported taper {self.taper!r}")
 
     @property
     def n_bins(self) -> int:
@@ -346,16 +346,6 @@ def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec
     return out
 
 
-def _feature_rows(psd: np.ndarray, per_channel: bool) -> np.ndarray:
-    """Feature rows of (windows, n_channels, n_bins) PSDs: the spectra
-    channel-major, or their channel mean. The mean runs over channels as
-    the innermost axis, the summation order every psd decoder was fit on."""
-    n, n_channels, n_bins = psd.shape
-    if per_channel:
-        return psd.reshape(n, n_channels * n_bins)
-    return np.ascontiguousarray(psd.swapaxes(1, 2)).mean(axis=-1)
-
-
 def _time_major_blocks(weights: np.ndarray, win_len: int, block: int) -> np.ndarray:
     """Weights over channel-major flattened windows, regrouped by time block.
 
@@ -465,16 +455,14 @@ def flatten_windows(ws: WindowSet) -> FeatureMatrix:
 
 
 def psd_features(
-    ws: WindowSet, spec: WelchSpec | None = None, per_channel: bool = True,
-    bins: int | None = None,
+    ws: WindowSet, spec: WelchSpec | None = None, bins: int | None = None
 ) -> FeatureMatrix:
     """Welch-PSD features for every window, of the first bins of each
     spectrum (all spec.n_bins when bins is None).
 
-    per_channel=True concatenates the per-channel spectra channel-major;
-    per_channel=False averages across channels down to one spectrum per
-    window. The pipeline keeps passband_bins of the band it filtered with:
-    13 channels x 52 bins = 676 features at the defaults, of 13 x 129.
+    A row is the window's per-channel spectra, channel-major. The pipeline
+    keeps passband_bins of the band it filtered with: 13 channels x 52
+    bins = 676 features at the defaults, of 13 x 129.
 
     Windows of one trial overlap, and so do their Welch segments: at the
     default 32-sample window step and 128-sample segment hop, a 63-window
@@ -487,20 +475,19 @@ def psd_features(
     """
     spec = spec or WelchSpec()
     groups = [sl for _, sl in ws.trial_slices()]
-    psd = _welch(ws.signal, ws.starts, ws.win_len, spec, ws.fs, groups,
-                 bins or spec.n_bins)
+    bins = bins or spec.n_bins
+    psd = _welch(ws.signal, ws.starts, ws.win_len, spec, ws.fs, groups, bins)
     return FeatureMatrix(
-        X=_feature_rows(psd, per_channel),
+        X=psd.reshape(ws.n_windows, ws.n_channels * bins),
         labels=ws.labels,
         trial_index=ws.trial_index,
         run_index=ws.run_index,
     )
 
 
-def psd_rows(ws: WindowSet, spec: WelchSpec, per_channel: bool,
-             bins: int | None = None) -> Iterator[np.ndarray]:
-    """``psd_features(ws, spec, per_channel, bins).X`` one (1, n_features)
-    row at a time, in window order, each computed only when the caller asks.
+def psd_rows(ws: WindowSet, spec: WelchSpec, bins: int | None = None) -> Iterator[np.ndarray]:
+    """``psd_features(ws, spec, bins).X`` one (1, n_features) row at a
+    time, in window order, each computed only when the caller asks.
 
     Meant for one trial's windows as they stream in: ws.signal is
     transposed to channel-major once, and a store keyed by segment start
@@ -518,9 +505,9 @@ def psd_rows(ws: WindowSet, spec: WelchSpec, per_channel: bool,
         new = [o for o in need if o not in by_start]
         if new:
             by_start.update(zip(new, _periodograms(segments, new, spec, ws.fs, bins)))
-        psd = np.empty((1, ws.n_channels, bins))
-        _mean_into(psd[0], [by_start[o] for o in need])
-        yield _feature_rows(psd, per_channel)
+        psd = np.empty((ws.n_channels, bins))
+        _mean_into(psd, [by_start[o] for o in need])
+        yield psd.reshape(1, -1)
 
 
 PCA_META_NAME = "pca.json"

@@ -1,5 +1,6 @@
 """Linear discriminant and centroid classifiers."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -46,13 +47,7 @@ def test_lda_one_dimensional_by_hand():
 
 
 def test_score_zero_goes_left():
-    clf = LinearClassifier(
-        kind="lda",
-        weights=np.array([1.0]),
-        bias=-1.0,
-        class_means=np.zeros((2, 1)),
-        priors=np.array([0.5, 0.5]),
-    )
+    clf = LinearClassifier(kind="lda", weights=np.array([1.0]), bias=-1.0)
     assert clf.predict([[1.0]])[0] == L  # score exactly 0
     assert clf.predict([[1.0 + 1e-12]])[0] == R
 
@@ -73,8 +68,8 @@ def test_lda_direction_matches_closed_form():
 
 def _lda_split_reference(X, y, sv_cutoff=1e-12):
     """lda_fit as it was written with one copy per class: split, center,
-    concatenate, then the SVD of the pooled covariance. Also returns the
-    covariance's singular values."""
+    concatenate, then the SVD of the pooled covariance. Returns the weights,
+    the bias and the covariance's singular values."""
     Xl, Xr = X[y == L], X[y == R]
     n = X.shape[0]
     mu_l, mu_r = Xl.mean(axis=0), Xr.mean(axis=0)
@@ -87,7 +82,7 @@ def _lda_split_reference(X, y, sv_cutoff=1e-12):
     w = (vt.T * inv) @ (u.T @ (mu_r - mu_l))
     priors = np.array([len(Xl) / n, len(Xr) / n])
     bias = float(-w @ (mu_l + mu_r) / 2.0 + np.log(priors[1] / priors[0]))
-    return w, bias, np.stack([mu_l, mu_r]), priors, s
+    return w, bias, s
 
 
 @pytest.mark.parametrize("case", ["clouds", "imbalanced", "interleaved", "ill-conditioned"])
@@ -109,13 +104,11 @@ def test_lda_bit_identical_to_split_reference(case):
         X, y = _clouds(rng, n_per=100, d=8)
         X = X @ rng.standard_normal((8, 30)) + 1e-9 * rng.standard_normal((200, 30))
     clf = lda_fit(X, y)
-    w, bias, class_means, priors, s = _lda_split_reference(X, y)
+    w, bias, s = _lda_split_reference(X, y)
     if case == "ill-conditioned":
         assert np.sum(s < 1e-12 * s[0]) >= 10
     assert np.array_equal(clf.weights, w)
     assert clf.bias == bias
-    assert np.array_equal(clf.class_means, class_means)
-    assert np.array_equal(clf.priors, priors)
 
 
 def test_lda_fit_keeps_one_copy_of_the_rows():
@@ -163,10 +156,12 @@ def test_lda_priors_shift_bias():
     X_im = np.vstack([X[y == L][:90], X[y == R][:30]])
     y_im = np.array([L] * 90 + [R] * 30)
     clf = lda_fit(X_im, y_im)
-    assert np.allclose(clf.priors, [0.75, 0.25])
+    priors = np.array([np.mean(y_im == L), np.mean(y_im == R)])
+    assert np.allclose(priors, [0.75, 0.25])
 
-    balanced_bias = float(-clf.weights @ clf.class_means.mean(axis=0))
-    assert np.isclose(clf.bias - balanced_bias, np.log(0.25 / 0.75), atol=1e-12)
+    midpoint = (X_im[y_im == L].mean(axis=0) + X_im[y_im == R].mean(axis=0)) / 2.0
+    balanced_bias = float(-clf.weights @ midpoint)
+    assert np.isclose(clf.bias - balanced_bias, np.log(priors[1] / priors[0]), atol=1e-12)
 
 
 def test_lda_singular_covariance_uses_pseudo_inverse():
@@ -196,7 +191,7 @@ def test_centroid_scores_are_distance_differences():
     rng = np.random.default_rng(4306)
     X, y = _clouds(rng, n_per=40, d=3)
     clf = centroid_fit(X, y)
-    mu_l, mu_r = clf.class_means
+    mu_l, mu_r = X[y == L].mean(axis=0), X[y == R].mean(axis=0)
     probe = rng.standard_normal((10, 3))
     expected = 0.5 * (
         np.sum((probe - mu_l) ** 2, axis=1) - np.sum((probe - mu_r) ** 2, axis=1)
@@ -237,14 +232,14 @@ def test_save_load_round_trip(tmp_path):
     X, y = _clouds(rng, n_per=30, d=4)
     clf = lda_fit(X, y)
     save_classifier(clf, tmp_path, pca_id="abc123")
+    doc = json.loads((tmp_path / "lda.json").read_text(encoding="utf-8"))
+    assert sorted(doc) == ["bias", "k", "kind", "pca_id", "weights"]
     back, pid = load_classifier(tmp_path)
     assert pid == "abc123"
     assert back.kind == clf.kind
     # JSON stores full-precision floats, so the round trip is exact
     assert np.array_equal(back.weights, clf.weights)
     assert back.bias == clf.bias
-    assert np.array_equal(back.class_means, clf.class_means)
-    assert np.array_equal(back.priors, clf.priors)
     probe = rng.standard_normal((5, 4))
     assert np.array_equal(back.score(probe), clf.score(probe))
 
@@ -272,6 +267,7 @@ def test_load_missing(tmp_path):
         '"priors": [0.5, 0.5]}',
         '{"kind": "lda", "weights": 1.0, "bias": 0.0, "class_means": [[0.0], [1.0]], '
         '"priors": [0.5, 0.5]}',
+        '{"kind": "lda", "k": 2, "weights": [1.0], "bias": 0.0}',  # k is not len(weights)
         "[]",
     ],
 )
@@ -300,13 +296,7 @@ def test_fold_bound_covers_both_paths(offset):
     components = np.linalg.qr(rng.standard_normal((d, k)))[0].T
     mean = offset + rng.standard_normal(d)
     X = mean + 1e-3 * rng.standard_normal((n, d))
-    clf = LinearClassifier(
-        kind="lda",
-        weights=rng.standard_normal(k),
-        bias=0.37,
-        class_means=np.zeros((2, k)),
-        priors=np.array([0.5, 0.5]),
-    )
+    clf = LinearClassifier(kind="lda", weights=rng.standard_normal(k), bias=0.37)
     folded = clf.fold(mean, components)
     s_fold, certified = folded.scores(X)
     s_batch = clf.score((X - mean) @ components.T)
@@ -340,10 +330,7 @@ def test_fold_matches_two_step_scores():
 
 
 def test_fold_dimension_checks():
-    clf = LinearClassifier(
-        kind="lda", weights=np.ones(3), bias=0.0,
-        class_means=np.zeros((2, 3)), priors=np.array([0.5, 0.5]),
-    )
+    clf = LinearClassifier(kind="lda", weights=np.ones(3), bias=0.0)
     with pytest.raises(DimensionMismatch):
         clf.fold(np.zeros(6), np.zeros((4, 6)))
     with pytest.raises(DimensionMismatch):

@@ -140,9 +140,8 @@ def test_train_report_config_holds_the_saved_feature_settings(cli_env, tmp_path,
     for doc, dec in ((docs[0], out), (docs[1], out), (with_pca, decoder)):
         saved = json.loads((dec / "decoder.json").read_text(encoding="utf-8"))["features"]
         cfg = doc["config"]
-        assert (cfg["feature_mode"], cfg["k"], cfg["nperseg"], cfg["noverlap"],
-                cfg["per_channel"]) == (saved["mode"], saved["k"], saved["nperseg"],
-                                        saved["noverlap"], saved["per_channel"])
+        assert (cfg["feature_mode"], cfg["k"], cfg["nperseg"], cfg["noverlap"]) == (
+            saved["mode"], saved["k"], saved["nperseg"], saved["noverlap"])
         assert doc["config_hash"] == store.json_hash(cfg)
     assert docs[0]["config"]["k"] is None and with_pca["config"]["k"] == 24
     assert docs[0]["config_hash"] == docs[1]["config_hash"]
@@ -480,6 +479,12 @@ def test_config_file_unknown_key_exits_1(cli_env, tmp_path, capsys):
     )
     assert rc == 1
     assert "MalformedMeta" in capsys.readouterr().err
+    # a removed setting is no key either
+    cfg_path.write_text(json.dumps({"per_channel": True}), encoding="utf-8")
+    rc = main(["train", "--session", str(study / "offline"), "--out", str(tmp_path / "dec"),
+               "--config", str(cfg_path)])
+    _single_error(capsys, rc, "MalformedMeta")
+    assert not (tmp_path / "dec").exists()
 
 
 def test_config_file_missing_exits_1(cli_env, capsys):
@@ -657,7 +662,7 @@ def test_import_csv_inf_cell_exits_1(tmp_path, capsys):
     "section,key,value",
     [
         ("preprocess", "car", "false"),
-        ("features", "per_channel", "no"),
+        ("features", "noverlap", "128"),
         ("preprocess", "order", 4.7),
         ("preprocess", "low_hz", "4"),
         ("features", "nperseg", 256.5),
@@ -755,21 +760,37 @@ def test_replay_refuses_a_non_integer_window_step(cli_env, tmp_path, capsys):
         "error: NonIntegerWindow: window step of 0.0625s is 31.25 samples at fs=500.0")
 
 
-def test_psd_decoder_of_all_129_bins_is_refused(cli_env, tmp_path, capsys):
-    # a psd decoder fit on every bin of the spectra, as rows held them
-    # before they kept only the bins the band-pass passes
+@pytest.mark.parametrize("layout", ["all-129-bins", "channel-mean"])
+def test_psd_decoder_of_an_old_row_layout_is_refused(cli_env, tmp_path, capsys, layout):
+    # psd decoders saved with rows of another width than today's 13 x 52
+    # bins: one fit on every bin of the spectra, as rows held them before
+    # they kept only the bins the band-pass passes, and one fit on the
+    # channel mean of the kept bins, which decoder.json marked
+    # "per_channel": false
     _, study, _ = cli_env
     offline = load_session(study / "offline")
-    fm = psd_features(windows_from_recording(offline.recording, PreprocessParams()))
-    assert fm.n_features == 13 * 129
+    ws = windows_from_recording(offline.recording, PreprocessParams())
+    if layout == "all-129-bins":
+        fm = psd_features(ws)
+        X = fm.X
+        assert X.shape[1] == 13 * 129
+    else:
+        fm = psd_features(ws, bins=52)
+        X = fm.X.reshape(len(fm.X), 13, 52).mean(axis=1)
     old = Decoder(PreprocessParams(), FeaturePipeline(FeatureConfig(mode="psd", k=None), None),
-                  fit_classifier("lda", fm.X, fm.labels), {})
+                  fit_classifier("lda", X, fm.labels), {})
     save_decoder(old, tmp_path / "old")
+    if layout == "channel-mean":
+        meta = tmp_path / "old" / "decoder.json"
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        doc["features"]["per_channel"] = False
+        meta.write_text(json.dumps(doc), encoding="utf-8")
     rc = main(["eval-samples", "--decoder", str(tmp_path / "old"),
                "--session", str(study / "online1")])
-    _single_error(capsys, rc, "DimensionMismatch")
+    assert rc == 1
+    samples = capsys.readouterr().err.strip().splitlines()
     streamed, batch = _stream_and_batch_errors(capsys, tmp_path / "old", study / "online1")
-    assert streamed == batch
+    assert samples == [streamed] and batch == streamed
     assert streamed.startswith("error: DimensionMismatch: ")
 
 
@@ -794,10 +815,12 @@ def test_train_checks_the_band_at_the_session_rate(cli_env, tmp_path, capsys):
                                   ["pca-sweep", "--session", "s"], ["repro", "--study", "s"]],
                          ids=lambda argv: argv[0])
 def test_pipeline_commands_take_no_rate_flag(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--fs", "100000"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --fs 100000" in capsys.readouterr().err
+    # nor the per-channel switch: rows are always per channel
+    for removed in (["--fs", "100000"], ["--per-channel"], ["--no-per-channel"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + removed)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
 
 def test_grid_search_non_finite_alpha_exits_1(cli_env, capsys):

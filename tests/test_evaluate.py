@@ -396,10 +396,24 @@ def test_psd_decoder_round_trip(small_offline, small_online, tmp_path):
     decoder = train_decoder([small_offline], FeatureConfig(mode="psd"))
     save_decoder(decoder, tmp_path)
     assert not (tmp_path / "pca.json").exists()
+    ws = decoder.windows(small_online.recording)
     back = load_decoder(tmp_path)
     assert back.pipeline.pca is None
-    ws = decoder.windows(small_online.recording)
     assert np.array_equal(back.predict_windows(ws), decoder.predict_windows(ws))
+    meta, model = tmp_path / DECODER_META_NAME, tmp_path / "lda.json"
+    doc = json.loads(meta.read_text(encoding="utf-8"))
+    assert sorted(doc) == ["features", "preprocess", "provenance"]
+    assert sorted(doc["features"]) == ["k", "mode", "noverlap", "nperseg"]
+    # the keys that older decoder directories also hold are ignored on load
+    doc["classifier"] = "lda"
+    doc["features"].update(per_channel=True, taper="hann")
+    meta.write_text(json.dumps(doc), encoding="utf-8")
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    doc.update(class_means=[[0.0] * doc["k"]] * 2, priors=[0.5, 0.5])
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    old = load_decoder(tmp_path)
+    assert old.pipeline.config == back.pipeline.config
+    assert np.array_equal(old.predict_windows(ws), decoder.predict_windows(ws))
 
 
 # --- folded PCA scoring -----------------------------------------------------
@@ -560,13 +574,7 @@ def test_load_decoder_detects_feature_count_mismatch(small_decoder, tmp_path):
 
     pid = pca_id(load_pca(tmp_path))
     short = small_decoder.clf
-    clipped = type(short)(
-        kind=short.kind,
-        weights=short.weights[:-3],
-        bias=short.bias,
-        class_means=short.class_means[:, :-3],
-        priors=short.priors,
-    )
+    clipped = type(short)(kind=short.kind, weights=short.weights[:-3], bias=short.bias)
     save_classifier(clipped, tmp_path, pid)
     with pytest.raises(DimensionMismatch):
         load_decoder(tmp_path)
@@ -576,7 +584,7 @@ def test_load_decoder_detects_feature_count_mismatch(small_decoder, tmp_path):
     "section,key,value",
     [
         ("preprocess", "car", "false"),
-        ("features", "per_channel", "no"),
+        ("features", "noverlap", "128"),
         ("preprocess", "order", 4.7),
         ("preprocess", "low_hz", "4"),
         ("features", "nperseg", 256.5),
@@ -593,13 +601,11 @@ def test_decoder_json_is_refused_not_coerced(small_decoder, tmp_path, section, k
 
 
 def test_decoder_round_trip_of_every_setting(small_offline, tmp_path):
-    # every field off its default; "hann" is the only taper there is
+    # every field off its default
     params = PreprocessParams(
         low_hz=6.5, high_hz=28.0, order=6, car=False, win_len_s=0.5, step_s=0.125
     )
-    config = FeatureConfig(
-        mode="psd+pca", k=12, welch=WelchSpec(nperseg=128, noverlap=32), per_channel=False
-    )
+    config = FeatureConfig(mode="psd+pca", k=12, welch=WelchSpec(nperseg=128, noverlap=32))
     decoder = train_decoder([small_offline], config, params, clf_kind="centroid")
     save_decoder(decoder, tmp_path / "a")
     back = load_decoder(tmp_path / "a")

@@ -273,8 +273,6 @@ def test_bin_count_and_spec_validation():
     assert WelchSpec(nperseg=128, noverlap=64).n_bins == 65
     with pytest.raises(WindowTooShort):
         WelchSpec(nperseg=128, noverlap=128)
-    with pytest.raises(ValueError):
-        WelchSpec(taper="boxcar")
 
 
 def test_pure_tone_peaks_at_its_bin():
@@ -389,17 +387,6 @@ def test_psd_features_per_channel_layout():
             assert np.array_equal(cut.X[i, ch * 52 : (ch + 1) * 52], direct[ch, :52])
 
 
-def test_psd_features_channel_average():
-    ws = _window_set(n_ch=3)
-    fm = psd_features(ws, per_channel=False)
-    assert fm.X.shape == (63, 129)
-    direct = welch_psd(ws.windows[10], WelchSpec(), FS)
-    assert np.array_equal(fm.X[10], direct.mean(axis=0))
-    cut = psd_features(ws, per_channel=False, bins=52)
-    assert np.array_equal(cut.X, fm.X[:, :52])
-    assert np.array_equal(cut.X[10], direct[:, :52].mean(axis=0))
-
-
 def test_passband_bins():
     spec = WelchSpec()
     # 2 Hz bins: the 102 Hz bin passes 0.0508 of the causal band-pass, the
@@ -444,13 +431,12 @@ def _per_window_welch(window, spec, fs):
     return psd.mean(axis=-3).swapaxes(-1, -2)  # (n_channels, n_bins)
 
 
-def _assert_matches_per_window(ws, spec, per_channel=True):
-    X = psd_features(ws, spec, per_channel=per_channel).X
+def _assert_matches_per_window(ws, spec):
+    X = psd_features(ws, spec).X
     assert X.shape[0] == ws.n_windows
     for i, window in enumerate(ws.windows):
-        ref = _per_window_welch(window, spec, FS)
-        want = ref.reshape(-1) if per_channel else ref.mean(axis=0)
-        assert np.array_equal(X[i], want), f"window {i}"
+        assert np.array_equal(X[i], _per_window_welch(window, spec, FS).reshape(-1)), (
+            f"window {i}")
 
 
 @pytest.fixture(scope="module")
@@ -479,10 +465,6 @@ def test_psd_features_bit_identical_on_session(session_windows, spec):
     _assert_matches_per_window(session_windows, spec)
 
 
-def test_psd_features_bit_identical_channel_average(session_windows):
-    _assert_matches_per_window(session_windows, WelchSpec(), per_channel=False)
-
-
 def test_psd_features_bit_identical_on_one_window():
     ws = _window_set(n_ch=13)
     one = WindowSet(
@@ -492,7 +474,6 @@ def test_psd_features_bit_identical_on_one_window():
     )
     for spec in (WelchSpec(), WelchSpec(nperseg=255, noverlap=100)):
         _assert_matches_per_window(one, spec)
-        _assert_matches_per_window(one, spec, per_channel=False)
         assert np.array_equal(
             welch_psd(one.windows[0], spec, FS), _per_window_welch(one.windows[0], spec, FS)
         )
@@ -553,7 +534,6 @@ def _two_trial_signal():
 def test_psd_features_bit_identical_for_any_starts(starts, spec):
     ws = _starts_window_set(_two_trial_signal(), starts)
     _assert_matches_per_window(ws, spec)
-    _assert_matches_per_window(ws, spec, per_channel=False)
 
 
 def test_psd_features_bit_identical_for_random_starts_across_chunks():
@@ -591,21 +571,20 @@ def streamed_recording():
     ).recording
 
 
-@pytest.mark.parametrize("per_channel", [True, False], ids=["per-channel", "channel-mean"])
 @pytest.mark.parametrize(
     "spec",
     [WelchSpec(), WelchSpec(nperseg=200, noverlap=50), WelchSpec(nperseg=255, noverlap=100),
      WelchSpec(nperseg=64, noverlap=32)],
     ids=["default", "hop150", "odd", "15seg"],
 )
-def test_streamed_rows_equal_psd_features_rows(streamed_recording, spec, per_channel):
+def test_streamed_rows_equal_psd_features_rows(streamed_recording, spec):
     params = PreprocessParams()
     # every bin, and the bins the band-pass passes
     for bins in (None, passband_bins(params.band_spec(streamed_recording.fs), spec)):
         batch = psd_features(windows_from_recording(streamed_recording, params, causal=True),
-                             spec, per_channel=per_channel, bins=bins).X
+                             spec, bins=bins).X
         streamed = [row for ws in stream_windows(streamed_recording, params)
-                    for row in psd_rows(ws, spec, per_channel, bins)]
+                    for row in psd_rows(ws, spec, bins)]
         assert all(row.shape == (1, batch.shape[1]) for row in streamed)
         assert np.array_equal(np.vstack(streamed), batch)
 
@@ -626,10 +605,10 @@ def test_streamed_window_transforms_only_its_new_segments(rfft_segments, step_s,
     ws = _window_set(n_ch=3, step_s=step_s)
     for k in range(1, ws.n_windows + 1):  # a trial decided at window k
         rfft_segments.clear()
-        list(islice(psd_rows(ws, WelchSpec(), True), k))
+        list(islice(psd_rows(ws, WelchSpec()), k))
         assert sum(rfft_segments) == transformed(k), f"decided at window {k}"
     rfft_segments.clear()
-    list(psd_rows(ws, WelchSpec(), True))  # a trial that times out
+    list(psd_rows(ws, WelchSpec()))  # a trial that times out
     assert sum(rfft_segments) == whole_trial
 
 
