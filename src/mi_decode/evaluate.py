@@ -31,6 +31,7 @@ from .features import (
     FeatureMatrix,
     PcaTransform,
     WelchSpec,
+    _project_in_place,
     _time_major_blocks,
     _window_dots,
     flatten_windows,
@@ -125,7 +126,10 @@ def fit_pipeline(
     """The pipeline fitted to raw_X, and raw_X's feature rows through it.
 
     The rows come from the PCA fit itself (see ``pca_fit_transform``)
-    rather than from projecting raw_X a second time.
+    rather than from projecting raw_X a second time. With a PCA stage the
+    fit centers raw_X in place: callers pass rows they own (a session's
+    feature matrix, a fold's copy of its training rows) and read only their
+    shape afterwards. Without one, the rows returned are raw_X itself.
     """
     if not config.uses_pca:
         return FeaturePipeline(config=config, pca=None), raw_X
@@ -289,10 +293,13 @@ def _cv_per_k(
     # one call per fold, so a fold's arrays are freed before the next allocates
     def one_fold(r: int) -> list[float]:
         test = fm.run_index == r
-        Xtr, ytr = fm.X[~test], fm.labels[~test]
-        Xte, yte = fm.X[test], fm.labels[test]
-        pipe, Ztr = fit_pipeline(Xtr, fit_config)
-        Zte = pipe.transform_raw(Xte)
+        ytr, yte = fm.labels[~test], fm.labels[test]
+        # a PCA fit centers the copy of the training rows in place and frees
+        # it; the held-out rows are cut after it, and centered in place too
+        pipe, Ztr = fit_pipeline(fm.X[~test], fit_config)
+        Zte = fm.X[test]
+        if pipe.pca is not None:
+            Zte = _project_in_place(pipe.pca, Zte)
         accs = []
         for k in col_counts:
             clf = fit_classifier(clf_kind, Ztr[:, :k], ytr)
@@ -395,7 +402,7 @@ def train_decoder(
         labels.append(fm.labels)
     X = raws[0] if len(raws) == 1 else np.vstack(raws)
     y = np.concatenate(labels)
-    pipe, Z = fit_pipeline(X, config)
+    pipe, Z = fit_pipeline(X, config)  # may center X in place: read its shape only
     clf = fit_classifier(clf_kind, Z, y)
     prov = {
         "sessions": [

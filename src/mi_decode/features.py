@@ -8,7 +8,11 @@ order, else from a solve for those pairs alone. It falls back to the full
 SVD of the centered data when squaring would lose the trailing
 components; a fixed sign convention makes refits bit-identical.
 pca_fit_transform also returns the fitted rows' projections, read off the
-decomposition rather than computed by projecting the rows again.
+decomposition rather than computed by projecting the rows again. It centers
+the matrix it is given in place, so a fit holds one copy of the rows: its
+callers (evaluate.fit_pipeline) own them and read only their shape
+afterwards. The public pca_fit and pca_transform copy their argument once
+and never change it.
 The Welch estimator uses Hann-tapered, 50%-overlapping modified
 periodograms with one-sided density scaling; nperseg=256 at fs=512 gives
 129 bins of 2 Hz, all of which welch_psd returns. Feature rows keep only
@@ -77,7 +81,9 @@ MIN_EIG_RATIO = 1e-6
 # and k=800 (a random Gram) took 14.9 s against 12.1 s, with 333 MB more
 # peak memory. The default pca-sweep's folds (m=3780, k=1600) take the
 # full solve, 6.3 s against 9.4 s on a random Gram; its dsyevd workspace
-# (2 m^2 doubles, 229 MB) left the sweep's peak RSS within 5 MB.
+# (2 m^2 doubles, 229 MB) leaves the sweep's peak RSS within 5 MB of the
+# subset route's (1693 against 1688 MB, with the fit centering its rows in
+# place), and the whole sweep took 205 s against 288 s.
 FULL_EIGH_SHARE = 0.25
 
 
@@ -111,7 +117,8 @@ def _top_k_eigen(
     if n <= d:
         # Xc = U sqrt(lam) V, so V = U^T Xc / sqrt(lam) and Xc V^T = U sqrt(lam)
         root = np.sqrt(lam)
-        components = (vec.T @ Xc) / root[:, None]
+        components = vec.T @ Xc
+        components /= root[:, None]
         projections = np.multiply(vec, root, order="C")  # rows, like Xc @ V^T
     else:
         components, projections = vec.T.copy(), None
@@ -121,8 +128,25 @@ def _top_k_eigen(
     return components, lam, total, projections
 
 
+def _largest_magnitudes(rows: np.ndarray) -> np.ndarray:
+    """Each row's entry at ``np.abs(rows).argmax(axis=1)``, without the
+    |rows| copy: the first entry of largest magnitude is the row's first
+    maximum or its first minimum, whichever is larger in magnitude, or
+    comes first when the two tie."""
+    i = np.arange(len(rows))
+    hi, lo = rows.argmax(axis=1), rows.argmin(axis=1)
+    top, bottom = rows[i, hi], rows[i, lo]
+    take_lo = (-bottom > top) | ((-bottom == top) & (lo < hi))
+    return np.where(take_lo, bottom, top)
+
+
 def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
     """Fit a k-component PCA to the rows of X, and project those rows.
+
+    X is centered in place: a float64 X holds X - mean on return (any other
+    dtype is converted to a float64 copy first, which is centered instead).
+    Callers hand over rows they own and read no more than X's shape
+    afterwards; ``pca_fit`` is the fit that leaves its argument alone.
 
     Components are the top-k right singular vectors of the centered data;
     each component's largest-magnitude entry is made positive so the fit is
@@ -142,9 +166,9 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
 
     The projections Z (n, k) of X are taken from the decomposition rather
     than by projecting X again: U sqrt(lambda) on the n <= d route,
-    Xc V^T from the fit's own centered copy when n > d, U_k s_k on the SVD
-    route, each with the components' signs. Z equals
-    ``pca_transform(t, X)`` to rounding.
+    Xc V^T from the centered X when n > d, U_k s_k on the SVD route, each
+    with the components' signs. Z equals ``pca_transform`` of the rows as
+    they were passed in, to rounding.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -154,7 +178,8 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
         raise BadK(f"k={k} outside [1, {min(n, d)}]")
 
     mean = X.mean(axis=0)
-    Xc = X - mean
+    Xc = X
+    Xc -= mean  # the bits of X - mean, without a second n x d matrix
     fast = _top_k_eigen(Xc, k)
     if fast is not None:
         components, lam, total, Z = fast
@@ -162,8 +187,7 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
         u, s, vt = np.linalg.svd(Xc, full_matrices=False)
         components, lam, total = vt[:k].copy(), s[:k] ** 2, float(np.sum(s**2))
         Z = u[:, :k] * s[:k]
-    peaks = components[np.arange(k), np.abs(components).argmax(axis=1)]
-    signs = np.where(peaks < 0, -1.0, 1.0)
+    signs = np.where(_largest_magnitudes(components) < 0, -1.0, 1.0)
     components *= signs[:, None]
     if Z is None:
         Z = Xc @ components.T
@@ -177,15 +201,24 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
 def pca_fit(X: np.ndarray, k: int) -> PcaTransform:
     """Fit a k-component PCA to the rows of X: ``pca_fit_transform``'s fit,
     the same Gram eigensolve (one full solve when k is more than a quarter
-    of the Gram's order) or SVD fallback, without its training projections."""
-    return pca_fit_transform(X, k)[0]
+    of the Gram's order) or SVD fallback, without its training projections.
+    The fit centers a copy of X; X is left as it is."""
+    return pca_fit_transform(np.array(X, dtype=np.float64), k)[0]
 
 
 def pca_transform(t: PcaTransform, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    """(X - t.mean) @ t.components.T, from a copy of X; X is left as it is."""
+    X = np.array(X, dtype=np.float64)
     if X.shape[-1] != t.d:
         raise DimensionMismatch(f"X has {X.shape[-1]} columns, transform expects {t.d}")
-    return (X - t.mean) @ t.components.T
+    return _project_in_place(t, X)
+
+
+def _project_in_place(t: PcaTransform, X: np.ndarray) -> np.ndarray:
+    """``pca_transform`` of float64 rows the caller owns and reads no more:
+    X is centered in place, then projected. The same bits as from a copy."""
+    X -= t.mean
+    return X @ t.components.T
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,21 @@ def test_cv_fits_pipeline_on_training_rows_only(monkeypatch):
     assert calls == [90, 90, 90, 90]
 
 
+@pytest.mark.parametrize("shape", [(200, 3000), (3000, 200)])  # Gram Xc Xc^T; Xc^T Xc
+def test_pca_fit_holds_no_second_copy_of_the_rows(shape):
+    rng = np.random.default_rng(4503)
+    X = rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        _, Z = evaluate.fit_pipeline(X, FeatureConfig(mode="pca", k=20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (shape[0], 20)
+    # the rows are centered in place: a centered copy alone is X.nbytes
+    assert peak < 0.5 * X.nbytes
+
+
 def test_cv_report_to_dict():
     rep = CvReport(fold_accuracy=(0.5, 0.7), fold_runs=(0, 1), config={"a": 1})
     doc = rep.to_dict()
@@ -208,7 +223,19 @@ def test_pca_sweep_on_session(small_offline, monkeypatch):
         return orig(raw_X, config)
 
     monkeypatch.setattr(evaluate, "fit_pipeline", spy)
+    built = []
+    raw_feature_matrix = evaluate.raw_feature_matrix
+
+    def keep_rows(*args):
+        fm = raw_feature_matrix(*args)
+        built.append((fm, fm.X.copy()))
+        return fm
+
+    monkeypatch.setattr(evaluate, "raw_feature_matrix", keep_rows)
     sweep = pca_sweep(small_offline, ks=(8, 24), config=SMALL_FEATURES)
+    monkeypatch.setattr(evaluate, "raw_feature_matrix", raw_feature_matrix)
+    [(swept, X0)] = built
+    assert swept.X.tobytes() == X0.tobytes()  # folds center copies of the rows
     assert [k for k, _ in sweep.points] == [8, 24]
     assert all(0.0 <= a <= 1.0 for _, a in sweep.points)
     assert len(sweep.reports) == 2
@@ -226,6 +253,7 @@ def test_pca_sweep_on_session(small_offline, monkeypatch):
         single = cv_from_matrix(fm, replace(SMALL_FEATURES, k=k))
         assert mean == single.mean
         assert rep.to_dict() == single.to_dict()
+        assert fm.X.tobytes() == X0.tobytes()
 
     # the classifier is fit on the PCA fit's own rows, as on rows projected again
     assert [rep.fold_accuracy for rep in sweep.reports] == _reference_fold_accuracies(
@@ -240,7 +268,9 @@ def test_cv_fits_on_the_pca_fit_rows_as_on_projected_rows(case, small_offline):
         fm = evaluate.raw_feature_matrix(ws, config)
     else:  # 90 training rows of 6 features, k=3
         config, fm = FeatureConfig(mode="pca", k=3), _separable_matrix(gap=0.5)
+    X0 = fm.X.copy()
     rep = cv_from_matrix(fm, config)
+    assert fm.X.tobytes() == X0.tobytes()
     assert [rep.fold_accuracy] == _reference_fold_accuracies(fm, config.k, [config.k])
 
 

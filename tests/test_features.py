@@ -202,8 +202,11 @@ def _route(kwargs, m, k):
 def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls, eigh_calls):
     rng = np.random.default_rng(4210)
     X = rng.standard_normal(shape) * np.geomspace(4.0, 1.0, shape[1])
+    X0 = X.copy()
     t = pca_fit(X, k)
     assert svd_calls == []  # well conditioned: the eigen route is kept
+    pca_transform(t, X)
+    assert X.tobytes() == X0.tobytes()  # the public fit and transform copy X
     m = min(shape)
     # one full solve when k > m / 4, else a solve for the k pairs alone
     assert [_route(kw, m, k) for kw in eigh_calls] == ["full" if 4 * k > m else "subset"]
@@ -219,10 +222,26 @@ def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls, eigh_calls):
 
 def _assert_projections(X, k):
     """pca_fit_transform's rows equal pca_transform of X to rounding."""
-    t, Z = pca_fit_transform(X, k)
+    Xc = X.copy()  # the fit centers its argument in place
+    t, Z = pca_fit_transform(Xc, k)
+    assert Xc.tobytes() == (X - t.mean).tobytes()
     R = pca_transform(t, X)
     assert Z.shape == R.shape == (X.shape[0], k) and Z.flags.c_contiguous
     assert np.abs(Z - R).max() <= 1e-10 * np.abs(Z).max()
+
+
+def test_sign_rule_peak_is_the_first_largest_magnitude():
+    rng = np.random.default_rng(4214)
+    rows = np.vstack([
+        rng.standard_normal((50, 9)),
+        # ties in magnitude between a maximum and a minimum, either first;
+        # repeated maxima and minima; a maximum of 0; a row of zeros
+        [[0.5, -0.5, 0.1], [-0.5, 0.5, 0.0], [0.2, -0.7, 0.7], [1.0, 1.0, -1.0],
+         [-2.0, -2.0, 2.0], [0.0, 3.0, 0.0], [-1.0, -3.0, -2.0], [0.0, 0.0, 0.0]]
+        @ np.eye(3, 9),
+    ])
+    expected = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    assert features._largest_magnitudes(rows).tobytes() == expected.tobytes()
 
 
 def test_rank_n_minus_1_falls_back_to_orthonormal_rows(svd_calls):
