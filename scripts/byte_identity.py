@@ -68,6 +68,19 @@ def commands() -> list[tuple[str, list[str]]]:
         ("repro-text", ["repro", "--study", "study", "--mode", "psd+pca", "--pca", "24",
                         "--text"]),
     ]
+    # the batch causal path (replay streams instead); these run last so that
+    # the commands above keep their log numbers
+    for mode, _ in MODES:
+        tag = mode.replace("+", "-")
+        dec = f"dec-{tag}"
+        cmds += [
+            (f"eval-trials-causal-{tag}", ["eval-trials", "--decoder", dec, "--session",
+                                           "study/online2", "--theta", "0.3", "--delta",
+                                           "0.05", "--causal"]),
+            (f"grid-search-causal-{tag}", ["grid-search", "--decoder", dec, "--session",
+                                           "study/online1", "--csv",
+                                           f"grid-causal-{tag}.csv", "--causal"]),
+        ]
     return cmds
 
 

@@ -3,12 +3,18 @@
 The band-pass is a true Butterworth design built here from the analog
 prototype (prewarped band edges, lowpass-to-bandpass transform, bilinear
 map), organized as second-order sections. Offline filtering is zero-phase
-forward-backward with a fixed reflect-pad rule; the streaming path is a
-causal forward-only cascade whose chunked output is bit-identical to the
-one-shot forward pass; stream_windows feeds it in arrival order and cuts
-each trial with window_trials, so the stream refuses a trial as the batch
-path does, when it arrives. Windowing copies no window: a WindowSet holds
-the trials' samples once as one signal, and window i is
+forward-backward with a fixed reflect-pad rule; the causal path is one
+forward pass. Both run in one core, _bandpass, on a channel-major copy of
+the samples, the layout sosfilt filters in. windows_from_recording checks
+the markers and the window layout first, filters (the causal pass only up
+to the last trial's end), copies the trial rows alone back to time-major
+into the one buffer its WindowSet holds, and applies CAR to that buffer in
+place. The streaming path is a causal forward-only cascade whose chunked
+output is bit-identical to the one-shot forward pass; stream_windows feeds
+it in arrival order and cuts each trial with window_trials, whose checks
+and layout windows_from_recording shares, so the stream refuses a trial as
+the batch path does, when it arrives. Windowing copies no window: a
+WindowSet holds the trials' samples once as one signal, and window i is
 signal[starts[i] : starts[i] + win_len]; its windows property builds the
 stacked copy only on request.
 """
@@ -136,28 +142,68 @@ def _pad_len(coeffs: FilterCoefficients, n_samples: int) -> int:
     return min(pad, n_samples - 1)
 
 
+# Rows per block when copying between time-major and channel-major layouts:
+# numpy's one-shot transposing copy of a long (n, 13) array runs about 3x
+# slower than the same copy made in blocks this size.
+_BLOCK_ROWS = 8192
+
+
+def _copy_rows(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """dst[:] = src for two (n_samples, n_channels) views, one of them the
+    transpose of a channel-major buffer, copied a block of rows at a time."""
+    for start in range(0, src.shape[0], _BLOCK_ROWS):
+        dst[start : start + _BLOCK_ROWS] = src[start : start + _BLOCK_ROWS]
+    return dst
+
+
+def _bandpass(x: np.ndarray, coeffs: FilterCoefficients, zero_phase: bool) -> np.ndarray:
+    """x (n_samples, n_channels) band-passed, as an (n_samples, n_channels)
+    view of a channel-major buffer.
+
+    sosfilt filters each row of a C-ordered buffer, and copies any other
+    layout into one first. So x is transposed once, in blocks, into a
+    channel-major buffer, reflect-padded by _pad_len samples on each side
+    when zero_phase, and filtered forward from zero state; a zero-phase
+    result is then filtered again, from zero state, in reverse time, and
+    the padding is cut off the view. Either way each channel sees the
+    arithmetic sosfilt(coeffs.sos, x, axis=0) gives it.
+    """
+    n, n_channels = x.shape
+    pad = _pad_len(coeffs, n) if zero_phase else 0
+    buf = np.empty((n_channels, n + 2 * pad))
+    _copy_rows(buf[:, pad : pad + n].T, x)
+    if pad:  # np.pad's "reflect": the edge sample is not repeated
+        _copy_rows(buf[:, :pad].T, x[1 : pad + 1][::-1])
+        _copy_rows(buf[:, pad + n :].T, x[n - 1 - pad : n - 1][::-1])
+    y = sosfilt(coeffs.sos, buf)
+    del buf  # sosfilt filtered its own copy: free this one before the next
+    if zero_phase:
+        y = sosfilt(coeffs.sos, y[:, ::-1])[:, ::-1][:, pad : pad + n]
+    return y.T
+
+
+def _filter_recording(
+    rec: Recording, coeffs: FilterCoefficients, zero_phase: bool
+) -> Recording:
+    y = _bandpass(rec.samples, coeffs, zero_phase)
+    return rec.with_samples(_copy_rows(np.empty(y.shape), y))
+
+
 def filter_offline(rec: Recording, coeffs: FilterCoefficients) -> Recording:
     """Zero-phase (forward-backward) filtering of every channel.
 
     The signal is reflect-padded by 3 * max(2 * n_sections, 24) samples on
     each side before the two passes and trimmed afterwards, so the result
-    is deterministic and edge transients stay out of the data.
+    is deterministic and edge transients stay out of the data. Both passes
+    run on one channel-major copy of the samples (see _bandpass), which
+    is copied back to time-major once.
     """
-    x = rec.samples
-    sos = coeffs.sos
-    pad = _pad_len(coeffs, x.shape[0])
-    xp = np.pad(x, ((pad, pad), (0, 0)), mode="reflect") if pad else x
-    y = sosfilt(sos, xp, axis=0)
-    y = sosfilt(sos, y[::-1], axis=0)[::-1]
-    if pad:
-        y = y[pad:-pad]
-    return rec.with_samples(y)
+    return _filter_recording(rec, coeffs, zero_phase=True)
 
 
 def filter_forward(rec: Recording, coeffs: FilterCoefficients) -> Recording:
     """Single forward pass from zero state, as the causal/online path sees it."""
-    y = sosfilt(coeffs.sos, rec.samples, axis=0)
-    return rec.with_samples(y)
+    return _filter_recording(rec, coeffs, zero_phase=False)
 
 
 def causal_filter_state(coeffs: FilterCoefficients, n_channels: int) -> np.ndarray:
@@ -182,12 +228,19 @@ def filter_causal_step(
     return out, new_state
 
 
+def _check_car_channels(n_channels: int) -> None:
+    if n_channels < 2:
+        raise TooFewChannels(f"CAR needs >= 2 channels, got {n_channels}")
+
+
+def _subtract_row_means(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.subtract(x, x.mean(axis=1, keepdims=True), out=out)
+
+
 def apply_car(rec: Recording) -> Recording:
     """Common average reference: subtract the instantaneous cross-channel mean."""
-    if rec.n_channels < 2:
-        raise TooFewChannels(f"CAR needs >= 2 channels, got {rec.n_channels}")
-    x = rec.samples
-    return rec.with_samples(x - x.mean(axis=1, keepdims=True))
+    _check_car_channels(rec.n_channels)
+    return rec.with_samples(_subtract_row_means(rec.samples))
 
 
 @dataclass(frozen=True)
@@ -222,11 +275,36 @@ def preprocess(
 def windows_from_recording(
     rec: Recording, params: PreprocessParams, causal: bool = False
 ) -> WindowSet:
-    """Preprocess, cut trials at the feedback markers, and window them."""
-    trials = extract_trials(preprocess(rec, params, causal=causal))
+    """Bit for bit the windows of ``window_trials(extract_trials(preprocess(
+    rec, params, causal)), params.win_len_s, params.step_s)``, raising the
+    same errors in the same order.
+
+    Every check runs before the filter. The recording is band-passed in
+    channel-major layout (see _bandpass), the causal pass only up to the
+    last trial's end; the trial rows alone are copied back to time-major,
+    into the one buffer the WindowSet holds, and CAR runs on that buffer
+    in place.
+    """
+    coeffs = design_bandpass(params.band_spec(rec.fs))
+    if params.car:
+        _check_car_channels(rec.n_channels)
+    trials = extract_trials(rec)
     if not trials:
         raise NoTrials("recording has no cue/feedback markers")
-    return window_trials(trials, params.win_len_s, params.step_s)
+    layout = _window_layout(trials, params.win_len_s, params.step_s)
+    end = trials[-1].start_sample + trials[-1].n_samples
+    x = rec.samples[:end] if causal else rec.samples
+    filtered = _bandpass(x, coeffs, zero_phase=not causal)
+    signal = np.empty((sum(t.n_samples for t in trials), rec.n_channels))
+    offset = 0
+    for t in trials:
+        _copy_rows(signal[offset : offset + t.n_samples],
+                   filtered[t.start_sample : t.start_sample + t.n_samples])
+        offset += t.n_samples
+    del filtered  # free the channel-major result before CAR's row means
+    if params.car:
+        _subtract_row_means(signal, out=signal)
+    return WindowSet(signal=signal, **layout)
 
 
 def stream_windows(rec: Recording, params: PreprocessParams) -> Iterator[WindowSet]:
@@ -426,14 +504,9 @@ def _samples_per(value_s: float, fs: float, what: str) -> int:
     return n
 
 
-def window_trials(
-    trials: list[Trial], win_len_s: float = 1.0, step_s: float = 0.0625
-) -> WindowSet:
-    """Cut fixed-length windows from every trial.
-
-    Defaults give 1 s windows stepped by 62.5 ms: 512 and 32 samples at
-    fs=512, so a 2496-sample trial yields 1 + (2496-512)/32 = 63 windows.
-    """
+def _window_layout(trials: list[Trial], win_len_s: float, step_s: float) -> dict:
+    """Every WindowSet field but the signal, for the windows of the trials
+    laid end to end; raises window_trials' errors."""
     if not trials:
         raise NoTrials("no trials to window")
     fs = trials[0].fs
@@ -455,8 +528,7 @@ def window_trials(
         t_idx.extend([t] * count)
         r_idx.extend([trial.run_index] * count)
 
-    return WindowSet(
-        signal=np.concatenate([trial.samples for trial in trials]),
+    return dict(
         starts=np.concatenate(starts),
         labels=np.array(labels, dtype=np.int64),
         trial_index=np.array(t_idx, dtype=np.int64),
@@ -465,3 +537,15 @@ def window_trials(
         win_len=win,
         win_step=step,
     )
+
+
+def window_trials(
+    trials: list[Trial], win_len_s: float = 1.0, step_s: float = 0.0625
+) -> WindowSet:
+    """Cut fixed-length windows from every trial.
+
+    Defaults give 1 s windows stepped by 62.5 ms: 512 and 32 samples at
+    fs=512, so a 2496-sample trial yields 1 + (2496-512)/32 = 63 windows.
+    """
+    layout = _window_layout(trials, win_len_s, step_s)
+    return WindowSet(signal=np.concatenate([t.samples for t in trials]), **layout)

@@ -1,5 +1,6 @@
 """Filter design, zero-phase/causal filtering, CAR, trials, windows."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,11 +166,23 @@ def test_offline_zero_phase_padding_semantics():
     xp = np.pad(x, ((pad, pad), (0, 0)), mode="reflect")
     fwd = signal.sosfilt(coeffs.sos, xp, axis=0)
     ref = signal.sosfilt(coeffs.sos, fwd[::-1], axis=0)[::-1][pad:-pad]
-    assert np.allclose(ours, ref, atol=1e-12)
+    assert np.array_equal(ours, ref)
     # sosfiltfilt seeds its passes differently, but initial conditions decay:
     # deep in the interior the two must agree
     full = signal.sosfiltfilt(coeffs.sos, x, axis=0, padtype="even", padlen=pad)
     assert np.allclose(ours[1500:2500], full[1500:2500], atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [50, 2])
+def test_offline_padding_clips_to_one_less_than_the_length(n):
+    x = np.random.default_rng(4115).standard_normal((n, 3))
+    coeffs = design_bandpass(BAND)
+    ours = filter_offline(Recording(x, FS, ("a", "b", "c"), ()), coeffs).samples
+    pad = n - 1  # below the 72 samples the rule asks for
+    xp = np.pad(x, ((pad, pad), (0, 0)), mode="reflect")
+    fwd = signal.sosfilt(coeffs.sos, xp, axis=0)
+    ref = signal.sosfilt(coeffs.sos, fwd[::-1], axis=0)[::-1][pad:-pad]
+    assert np.array_equal(ours, ref)
 
 
 def test_forward_matches_sosfilt():
@@ -179,7 +192,7 @@ def test_forward_matches_sosfilt():
     coeffs = design_bandpass(BAND)
     ours = filter_forward(rec, coeffs).samples
     ref = signal.sosfilt(coeffs.sos, x, axis=0)
-    assert np.allclose(ours, ref, atol=1e-12)
+    assert np.array_equal(ours, ref)
 
 
 def test_chunked_causal_filter_is_bit_identical():
@@ -532,6 +545,86 @@ def test_preprocess_causal_uses_forward_filter():
     coeffs = design_bandpass(params.band_spec(rec.fs))
     expected = apply_car(filter_forward(rec, coeffs))
     assert np.array_equal(out.samples, expected.samples)
+
+
+def _first_trial_at_zero_recording():
+    """A trial whose cue and FeedbackStart sit on sample 0, and one more."""
+    events = trial_events(0, ClassLabel.Right, 1024, cue_gap=0)
+    events += trial_events(1500, ClassLabel.Left, 800, run_index=1, cue_gap=64)
+    return noise_recording(3000, 4, FS, events=events, seed=4111)
+
+
+def _short_recording():
+    """50 samples at 64 Hz: the reflect pad clips from 72 to n - 1 = 49."""
+    events = trial_events(0, ClassLabel.Left, 40, cue_gap=2)
+    return noise_recording(50, 3, 64.0, events=events, seed=4112)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("car", [True, False])
+@pytest.mark.parametrize("make_rec, win_len_s", [
+    (_session_like_recording, 1.0),
+    (_first_trial_at_zero_recording, 1.0),
+    (_short_recording, 0.5),
+], ids=["session-like", "first-trial-at-zero", "pad-clipped"])
+def test_windows_from_recording_equal_the_preprocessed_trials(
+        make_rec, win_len_s, car, causal):
+    rec = make_rec()
+    params = PreprocessParams(car=car, win_len_s=win_len_s)
+    ws = windows_from_recording(rec, params, causal=causal)
+    ref = window_trials(extract_trials(preprocess(rec, params, causal=causal)),
+                        params.win_len_s, params.step_s)
+    for field in ("signal", "starts", "labels", "trial_index", "run_index"):
+        assert np.array_equal(getattr(ws, field), getattr(ref, field)), field
+    assert (ws.fs, ws.win_len, ws.win_step) == (ref.fs, ref.win_len, ref.win_step)
+
+
+ORPHAN_CUE = [marker(10, EventKind.CueLeft)]
+SHORT_TRIAL = trial_events(100, ClassLabel.Left, 100)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("n_channels, events, params, error, message", [
+    (1, ORPHAN_CUE, PreprocessParams(high_hz=300.0), InvalidBand,
+     "need 0 < low < high < fs/2, got (4.0, 300.0) at fs=512.0"),
+    (1, ORPHAN_CUE, PreprocessParams(), TooFewChannels,
+     "CAR needs >= 2 channels, got 1"),
+    (1, ORPHAN_CUE, PreprocessParams(car=False), OrphanMarker,
+     "cue at sample 10 has no feedback end"),
+    (3, [], PreprocessParams(), NoTrials, "recording has no cue/feedback markers"),
+    (3, SHORT_TRIAL, PreprocessParams(step_s=0.01), NonIntegerWindow,
+     "window step of 0.01s is 5.12 samples at fs=512.0"),
+    (3, SHORT_TRIAL, PreprocessParams(), TrialTooShort,
+     "trial at sample 108 has 100 samples, window needs 512"),
+], ids=["band", "car-channels", "orphan-cue", "no-trials", "step", "short-trial"])
+def test_windows_from_recording_error_order(n_channels, events, params, error,
+                                            message, causal):
+    rec = noise_recording(1000, n_channels, FS, events=events, seed=4113)
+    with pytest.raises(error) as raised:
+        windows_from_recording(rec, params, causal=causal)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_windows_from_recording_peak_memory(causal):
+    # trials cover most of the recording, as in a calibration session
+    events = []
+    for i in range(12):
+        events.extend(trial_events(300 + 3000 * i, ClassLabel(i % 2), 2496, cue_gap=64))
+    rec = noise_recording(36500, 13, FS, events=events, seed=4114)
+    params = PreprocessParams()
+    windows_from_recording(rec, params, causal=causal)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws = windows_from_recording(rec, params, causal=causal)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ws.n_windows == 12 * 63
+    # the channel-major copy, sosfilt's copy of it, then the trial rows:
+    # never more than about two recordings' worth of samples at once
+    assert peak <= 2.2 * rec.samples.nbytes
 
 
 def test_windows_from_recording_counts():
