@@ -81,6 +81,16 @@ def commands() -> list[tuple[str, list[str]]]:
                                            "study/online1", "--csv",
                                            f"grid-causal-{tag}.csv", "--causal"]),
         ]
+    # the PCA fits above keep at most a quarter of the Gram's order (k=12 and
+    # 24 of 204 rows, 8 of a fold's 102), so they all take the subset
+    # eigensolve; these take the full one (k=60 of 204, 40 of a fold's 102)
+    cmds += [
+        ("train-pca60", ["train", "--session", "study/offline", "--out", "dec-pca60",
+                         "--mode", "pca", "--pca", "60"]),
+        ("eval-samples-pca60", ["eval-samples", "--decoder", "dec-pca60",
+                                "--session", "study/online2"]),
+        ("pca-sweep-full", ["pca-sweep", "--session", "study/offline", "--ks", "8,40"]),
+    ]
     return cmds
 
 

@@ -4,9 +4,14 @@ Welch power-spectral-density features.
 PCA eigendecomposes the smaller Gram matrix of the centered data
 (Xc Xc^T or Xc^T Xc) and keeps its k leading pairs: from one full
 divide-and-conquer solve when k is more than a quarter of the Gram's
-order, else from a solve for those pairs alone. It falls back to the full
-SVD of the centered data when squaring would lose the trailing
-components; a fixed sign convention makes refits bit-identical.
+order, else from a solve for those pairs alone. The full solve is numpy's
+(np.linalg.eigh), so a fit on that route runs on numpy's BLAS alone:
+numpy and scipy each load their own OpenBLAS, each with its own thread
+pool, and after a call the pool that made it keeps a worker spinning,
+which then competes with the other pool's threads. Only the subset solve,
+which numpy lacks, is scipy's. It falls back to the full SVD of the
+centered data when squaring would lose the trailing components; a fixed
+sign convention makes refits bit-identical.
 pca_fit_transform also returns the fitted rows' projections, read off the
 decomposition rather than computed by projecting the rows again. It centers
 the matrix it is given in place, so a fit holds one copy of the rows: its
@@ -76,14 +81,16 @@ MIN_EIG_RATIO = 1e-6
 
 # Above this share of the Gram's order m, one full divide-and-conquer solve
 # (LAPACK dsyevd) beats computing only the k leading pairs by bisection and
-# inverse iteration (dsyevr). On a 2-core VM, m=756 and k=200 took 85 ms
-# against 116 ms; m=1260 and k=24 took 275 ms against 138 ms, and m=5040
-# and k=800 (a random Gram) took 14.9 s against 12.1 s, with 333 MB more
-# peak memory. The default pca-sweep's folds (m=3780, k=1600) take the
-# full solve, 6.3 s against 9.4 s on a random Gram; its dsyevd workspace
-# (2 m^2 doubles, 229 MB) leaves the sweep's peak RSS within 5 MB of the
-# subset route's (1693 against 1688 MB, with the fit centering its rows in
-# place), and the whole sweep took 205 s against 288 s.
+# inverse iteration (dsyevr). On a 2-core VM, with the full solve on
+# numpy's LAPACK and the subset solve on scipy's, a whole _top_k_eigen
+# call (Gram, solve, map back; median of 11) on time-domain rows took
+# 111-114 ms against 274-278 ms at m=756 and k=200, and 276-359 ms against
+# 299-332 ms at m=1260 and k=24. With both solves on scipy, m=5040 and
+# k=800 (a random Gram) took 14.9 s against 12.1 s, with 333 MB more peak
+# memory, and the default pca-sweep's folds (m=3780, k=1600) took 6.3 s
+# against 9.4 s on a random Gram. Those folds take the full solve: the
+# whole sweep took 130 s and peaked at 1684 MB of RSS, where the subset
+# route on scipy had peaked at 1688 MB.
 FULL_EIGH_SHARE = 0.25
 
 
@@ -98,14 +105,15 @@ def _top_k_eigen(
     gram = Xc @ Xc.T if n <= d else Xc.T @ Xc
     m = gram.shape[0]
     total = float(np.trace(gram))
-    # gram is symmetric, so its transpose is the same matrix in Fortran
-    # order, which LAPACK overwrites in place instead of copying
     if k > FULL_EIGH_SHARE * m:
-        lam, vec = eigh(gram.T, overwrite_a=True, driver="evd")
-        # the eigenvectors may be gram's own buffer: keep a copy of the k
-        # needed, so that the m x m buffer is freed below
+        # dsyevd on numpy's LAPACK, so that the fit stays on numpy's
+        # OpenBLAS thread pool and never wakes scipy's; keep a copy of the
+        # k eigenvectors needed, so that the m x m output is freed at once
+        lam, vec = np.linalg.eigh(gram)
         lam, vec = lam[m - k:], vec[:, m - k:].copy()
     else:
+        # gram is symmetric, so its transpose is the same matrix in Fortran
+        # order, which LAPACK overwrites in place instead of copying
         lam, vec = eigh(gram.T, subset_by_index=[m - k, m - 1], overwrite_a=True)
     # free the m x m buffer before the k x d components are allocated: held
     # to the end of the call it fragments the heap, and a repeated psd+pca
@@ -157,8 +165,9 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
     data Xc are kept: Xc Xc^T when n <= d, mapped back as
     V = U^T Xc / sigma, else Xc^T Xc. When k is more than a quarter of the
     Gram's order (FULL_EIGH_SHARE) they come from one full eigensolve,
-    otherwise from a solve for those k pairs alone; either way the pairs
-    are the same to rounding, so components nest across k.
+    numpy's, so that the fit never leaves numpy's BLAS thread pool for
+    scipy's; otherwise from scipy's solve for those k pairs alone. Either
+    way the pairs are the same to rounding, so components nest across k.
     They are kept when the rows come out orthonormal to 1e-10 and
     lambda_k >= 1e-6 * lambda_1; otherwise (rank-deficient or badly
     conditioned data, including any k = n <= d) the fit is the full SVD of

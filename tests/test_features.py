@@ -24,7 +24,12 @@ from mi_decode.errors import (
     MissingFile,
     WindowTooShort,
 )
-from mi_decode.evaluate import FeatureConfig, raw_feature_matrix
+from mi_decode.evaluate import (
+    FeatureConfig,
+    pca_sweep,
+    raw_feature_matrix,
+    train_decoder,
+)
 from mi_decode.features import (
     PCA_PAYLOAD_NAME,
     PcaTransform,
@@ -173,25 +178,32 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The keyword arguments of each Gram eigensolve pca_fit makes."""
+    """Each Gram eigensolve pca_fit makes, as (library, keyword arguments):
+    "numpy" for np.linalg.eigh, "scipy" for scipy.linalg.eigh."""
     calls = []
-    orig = features.eigh
+    numpy_eigh, scipy_eigh = np.linalg.eigh, features.eigh
 
-    def spy(a, **kwargs):
-        calls.append(kwargs)
-        return orig(a, **kwargs)
+    def numpy_spy(a, **kwargs):
+        calls.append(("numpy", kwargs))
+        return numpy_eigh(a, **kwargs)
 
-    monkeypatch.setattr(features, "eigh", spy)
+    def scipy_spy(a, **kwargs):
+        calls.append(("scipy", kwargs))
+        return scipy_eigh(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", numpy_spy)
+    monkeypatch.setattr(features, "eigh", scipy_spy)
     return calls
 
 
-def _route(kwargs, m, k):
-    """'full' or 'subset', checking the arguments each route must pass."""
-    if "subset_by_index" in kwargs:
-        assert list(kwargs["subset_by_index"]) == [m - k, m - 1]
-        return "subset"
-    assert kwargs["driver"] == "evd"
-    return "full"
+def _route(call, m, k):
+    """'full' or 'subset', checking the call each route must make: numpy's
+    full solve, or scipy's solve for the k leading pairs alone."""
+    library, kwargs = call
+    if library == "numpy":
+        return "full"
+    assert list(kwargs["subset_by_index"]) == [m - k, m - 1]
+    return "subset"
 
 
 # the Gram's order m is min(n, d); cases sit on both sides of k = m / 4
@@ -209,7 +221,7 @@ def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls, eigh_calls):
     assert X.tobytes() == X0.tobytes()  # the public fit and transform copy X
     m = min(shape)
     # one full solve when k > m / 4, else a solve for the k pairs alone
-    assert [_route(kw, m, k) for kw in eigh_calls] == ["full" if 4 * k > m else "subset"]
+    assert [_route(c, m, k) for c in eigh_calls] == ["full" if 4 * k > m else "subset"]
     oracle = _oracle_components(X, k)
     assert np.abs(t.components - oracle).max() < 1e-10
     assert np.abs(t.components @ t.components.T - np.eye(k)).max() < 1e-10
@@ -218,6 +230,18 @@ def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls, eigh_calls):
     _assert_projections(X + 3.0, k)
     _assert_projections(-X, k)
     assert svd_calls == []
+
+
+def test_full_route_fits_never_call_scipy_eigh(small_offline, eigh_calls):
+    # pca mode at k=60: above a quarter of the train Gram's order (204 rows)
+    # and of each CV fold's (102), so every fit takes the full route, on
+    # numpy's LAPACK alone
+    config = FeatureConfig(mode="pca", k=60)
+    train_decoder([small_offline], config)
+    assert eigh_calls == [("numpy", {})]
+    eigh_calls.clear()
+    pca_sweep(small_offline, ks=(8, 60), config=config)
+    assert eigh_calls == [("numpy", {})] * 2  # one fit per fold, at k=60
 
 
 def _assert_projections(X, k):
