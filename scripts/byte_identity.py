@@ -91,6 +91,19 @@ def commands() -> list[tuple[str, list[str]]]:
                                 "--session", "study/online2"]),
         ("pca-sweep-full", ["pca-sweep", "--session", "study/offline", "--ks", "8,40"]),
     ]
+    # decoders scored at a non-default band order: dec-config's order 6 (from
+    # config.json) and an order-8 alpha band
+    cmds += [
+        ("eval-samples-config", ["eval-samples", "--decoder", "dec-config",
+                                 "--session", "study/online2"]),
+        ("replay-config", ["replay", "--decoder", "dec-config", "--session",
+                           "study/online2", "--events"]),
+        ("train-order8", ["train", "--session", "study/offline", "--out", "dec-order8",
+                          "--mode", "psd", "--band-order", "8", "--band-low", "8",
+                          "--band-high", "12"]),
+        ("eval-samples-order8", ["eval-samples", "--decoder", "dec-order8",
+                                 "--session", "study/online2"]),
+    ]
     return cmds
 
 

@@ -1,22 +1,21 @@
 """Temporal/spatial filtering, trial extraction and sliding-window segmentation.
 
-The band-pass is a true Butterworth design built here from the analog
-prototype (prewarped band edges, lowpass-to-bandpass transform, bilinear
-map), organized as second-order sections. Offline filtering is zero-phase
-forward-backward with a fixed reflect-pad rule; the causal path is one
-forward pass. Both run in one core, _bandpass, on a channel-major copy of
-the samples, the layout sosfilt filters in. windows_from_recording checks
-the markers and the window layout first, filters (the causal pass only up
-to the last trial's end), copies the trial rows alone back to time-major
-into the one buffer its WindowSet holds, and applies CAR to that buffer in
-place. The streaming path is a causal forward-only cascade whose chunked
-output is bit-identical to the one-shot forward pass; stream_windows feeds
-it in arrival order and cuts each trial with window_trials, whose checks
-and layout windows_from_recording shares, so the stream refuses a trial as
-the batch path does, when it arrives. Windowing copies no window: a
-WindowSet holds the trials' samples once as one signal, and window i is
-signal[starts[i] : starts[i] + win_len]; its windows property builds the
-stacked copy only on request.
+The band-pass is a Butterworth design from scipy.signal.butter, as
+second-order sections. Offline filtering is zero-phase forward-backward
+with a fixed reflect-pad rule; the causal path is one forward pass. Both
+run in one core, _bandpass, on a channel-major copy of the samples, the
+layout sosfilt filters in. windows_from_recording checks the markers and
+the window layout first, filters (the causal pass only up to the last
+trial's end), copies the trial rows alone back to time-major into the one
+buffer its WindowSet holds, and applies CAR to that buffer in place. The
+streaming path is a causal forward-only cascade whose chunked output is
+bit-identical to the one-shot forward pass; stream_windows feeds it in
+arrival order, cuts each trial with window_trials, whose checks and layout
+windows_from_recording shares, so the stream refuses a trial as the batch
+path does, when it arrives, and applies CAR to that trial's window set in
+place. Windowing copies no window: a WindowSet holds the trials' samples
+once as one signal, and window i is signal[starts[i] : starts[i] +
+win_len]; its windows property builds the stacked copy only on request.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy.signal import sosfilt
+from scipy.signal import butter, sosfilt
 
 from .errors import (
     ChannelCountMismatch,
@@ -44,7 +43,7 @@ from .session import CUE_KINDS, ClassLabel, EventKind, Recording
 class BandpassSpec:
     low_hz: float
     high_hz: float
-    order: int = 4  # overall filter order; order/2 biquad sections
+    order: int = 4  # overall order: butter(order // 2, band), order/2 sections
     fs: float = 512.0
 
     def __post_init__(self):
@@ -58,87 +57,25 @@ class BandpassSpec:
 
 
 @dataclass(frozen=True)
-class Biquad:
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-
-@dataclass(frozen=True)
 class FilterCoefficients:
-    """Cascade of stable biquad sections (a0 normalized to 1)."""
+    """Cascade of second-order sections: sos rows [b0, b1, b2, 1, a1, a2]."""
 
-    sections: tuple[Biquad, ...]
+    sos: np.ndarray  # (n_sections, 6)
     fs: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "sections", tuple(self.sections))
-        for s in self.sections:
-            # both poles strictly inside the unit circle
-            if not (abs(s.a2) < 1 and abs(s.a1) < 1 + s.a2):
-                raise ValueError(f"unstable section {s}")
-
-    @property
-    def sos(self) -> np.ndarray:
-        return np.array(
-            [[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in self.sections]
-        )
 
 
 def design_bandpass(spec: BandpassSpec) -> FilterCoefficients:
-    """Design a Butterworth band-pass as second-order sections.
-
-    The analog prototype of order ``spec.order / 2`` is transformed to a
-    band-pass (doubling the pole count to ``spec.order``) with the band
-    edges prewarped so the bilinear map lands the -3 dB points exactly on
-    low_hz and high_hz. Sections are ordered by ascending pole real part
-    (complex pairs first, then real pole pairs); the overall gain is split
-    evenly across sections.
-    """
-    n = spec.order // 2
-    k = np.arange(n)
-    theta = np.pi * (2 * k + n + 1) / (2 * n)
-    proto = np.exp(1j * theta)  # unit-circle poles, Re < 0
-
-    fs2 = 2.0 * spec.fs
-    w1 = fs2 * np.tan(np.pi * spec.low_hz / spec.fs)
-    w2 = fs2 * np.tan(np.pi * spec.high_hz / spec.fs)
-    w0 = np.sqrt(w1 * w2)
-    bw = w2 - w1
-
-    # lowpass -> bandpass: pole p maps to the roots of s^2 - p*bw*s + w0^2
-    pb = proto * bw / 2.0
-    disc = np.sqrt(pb * pb - w0 * w0)
-    apoles = np.concatenate([pb + disc, pb - disc])  # 2n analog poles
-    # n analog zeros at s=0 (and n at infinity); gain bw^n
-
-    zpoles = (fs2 + apoles) / (fs2 - apoles)
-    gain = (bw**n) * (fs2**n) / float(np.real(np.prod(fs2 - apoles)))
-    assert len(zpoles) == spec.order and np.all(np.abs(zpoles) < 1.0)
-
-    tol = 1e-10
-    pairs: list[tuple[float, float]] = []  # (a1, a2) per section
-    cplx = sorted(
-        (z for z in zpoles if z.imag > tol), key=lambda z: (z.real, z.imag)
-    )
-    for z in cplx:
-        pairs.append((-2.0 * z.real, float(abs(z) ** 2)))
-    reals = sorted(float(z.real) for z in zpoles if abs(z.imag) <= tol)
-    for i in range(0, len(reals), 2):
-        r1, r2 = reals[i], reals[i + 1]
-        pairs.append((-(r1 + r2), r1 * r2))
-    assert len(pairs) == n
-
-    # one zero at z=+1 and one at z=-1 per section: numerator g*(z^2 - 1)
-    g = gain ** (1.0 / n)
-    sections = tuple(Biquad(b0=g, b1=0.0, b2=-g, a1=a1, a2=a2) for a1, a2 in pairs)
-    return FilterCoefficients(sections=sections, fs=spec.fs)
+    """Butterworth band-pass of overall order ``spec.order`` as second-order
+    sections, from ``scipy.signal.butter``: a prototype of order
+    ``spec.order / 2``, band edges prewarped so the bilinear map puts the
+    -3 dB points exactly on low_hz and high_hz."""
+    sos = butter(spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass",
+                 fs=spec.fs, output="sos")
+    return FilterCoefficients(sos=sos, fs=spec.fs)
 
 
 def _pad_len(coeffs: FilterCoefficients, n_samples: int) -> int:
-    pad = 3 * max(2 * len(coeffs.sections), 24)
+    pad = 3 * max(2 * coeffs.sos.shape[0], 24)
     return min(pad, n_samples - 1)
 
 
@@ -208,7 +145,7 @@ def filter_forward(rec: Recording, coeffs: FilterCoefficients) -> Recording:
 
 def causal_filter_state(coeffs: FilterCoefficients, n_channels: int) -> np.ndarray:
     """Zero initial state for filter_causal_step: (n_sections, 2, n_channels)."""
-    return np.zeros((len(coeffs.sections), 2, n_channels))
+    return np.zeros((coeffs.sos.shape[0], 2, n_channels))
 
 
 def filter_causal_step(
@@ -312,24 +249,27 @@ def stream_windows(rec: Recording, params: PreprocessParams) -> Iterator[WindowS
     windows in ``windows_from_recording(rec, params, causal=True)``.
 
     One filter call takes each gap and the trial after it, carrying the
-    causal state; CAR and window_trials follow, so a trial the batch path
-    refuses raises the same error when it arrives.
+    causal state; window_trials cuts the trial, so a trial the batch path
+    refuses raises the same error when it arrives, and CAR runs in place on
+    the set's C-ordered signal, as it does on the batch path's.
     """
     trials = extract_trials(rec)  # marker walk only; samples filtered below
     if not trials:
         raise NoTrials("recording has no cue/feedback markers")
     coeffs = design_bandpass(params.band_spec(rec.fs))
+    if params.car:
+        _check_car_channels(rec.n_channels)
     state = causal_filter_state(coeffs, rec.n_channels)
     pos = 0
     for trial in trials:
         end = trial.start_sample + trial.n_samples
         rows, state = filter_causal_step(coeffs, state, rec.samples[pos:end])
-        block = Recording(rows[trial.start_sample - pos :], rec.fs, rec.channel_labels)
+        ws = window_trials([replace(trial, samples=rows[trial.start_sample - pos :])],
+                           params.win_len_s, params.step_s)
         pos = end
         if params.car:
-            block = apply_car(block)
-        yield window_trials([replace(trial, samples=block.samples)],
-                            params.win_len_s, params.step_s)
+            _subtract_row_means(ws.signal, out=ws.signal)
+        yield ws
 
 
 @dataclass(frozen=True)

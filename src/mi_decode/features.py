@@ -258,9 +258,9 @@ PSD_GAIN_FLOOR = 0.05
 def passband_bins(band: BandpassSpec, spec: WelchSpec) -> int:
     """How many leading bins of a Welch PSD feature rows keep: every bin
     below the first bin above band.high_hz where the causal band-pass gain
-    falls under PSD_GAIN_FLOOR, or all spec.n_bins when none does (each
-    section has a zero at Nyquist, so an even nperseg always loses that
-    bin).
+    falls under PSD_GAIN_FLOOR, or all spec.n_bins when none does (the
+    band-pass has order/2 zeros at Nyquist, so an even nperseg always loses
+    that bin).
 
     52 of 129 (0-102 Hz) at the defaults. More bins pass a higher high_hz
     and fewer a steeper order; the cut depends on the band and the bin

@@ -64,19 +64,11 @@ def gain_at(coeffs, f_hz):
 
 
 def test_design_matches_analytic_magnitude():
-    coeffs = design_bandpass(BAND)
-    freqs = np.linspace(0.25, 255.0, 400)
-    assert np.allclose(gain_at(coeffs, freqs), analytic_gain(freqs, BAND), atol=1e-10)
-
-
-def test_design_matches_scipy_transfer_function():
     for low, high, order, fs in [(4, 30, 4, 512), (8, 12, 4, 256), (1, 40, 6, 512)]:
-        ours = design_bandpass(BandpassSpec(low, high, order, fs))
-        ref = signal.butter(order // 2, [low, high], btype="bandpass", fs=fs, output="sos")
-        b_ours, a_ours = signal.sos2tf(ours.sos)
-        b_ref, a_ref = signal.sos2tf(ref)
-        assert np.allclose(b_ours, b_ref, atol=1e-12)
-        assert np.allclose(a_ours, a_ref, atol=1e-12)
+        spec = BandpassSpec(low, high, order, fs)
+        freqs = np.linspace(0.25, fs / 2 - 1.0, 400)
+        gain = gain_at(design_bandpass(spec), freqs)
+        assert np.allclose(gain, analytic_gain(freqs, spec), atol=1e-10)
 
 
 def test_band_edges_sit_at_half_power():
@@ -95,17 +87,18 @@ def test_passband_flat_and_stopbands_deep():
 
 def test_sections_and_stability():
     for order in (2, 4, 6, 8):
-        coeffs = design_bandpass(BandpassSpec(4.0, 30.0, order, FS))
-        assert len(coeffs.sections) == order // 2
-        for s in coeffs.sections:
-            assert abs(s.a2) < 1.0
-            assert abs(s.a1) < 1.0 + s.a2
+        for low, high in [(4.0, 30.0), (0.01, 255.9), (0.5, 4.0)]:
+            coeffs = design_bandpass(BandpassSpec(low, high, order, FS))
+            assert coeffs.sos.shape == (order // 2, 6)
+            assert np.all(coeffs.sos[:, 3] == 1.0)
+            _, poles, _ = signal.sos2zpk(coeffs.sos)
+            assert np.all(np.abs(poles) < 1.0)
 
 
 def test_design_is_deterministic():
     a = design_bandpass(BAND)
     b = design_bandpass(BAND)
-    assert a == b
+    assert a.sos.tobytes() == b.sos.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -162,7 +155,7 @@ def test_offline_zero_phase_padding_semantics():
     coeffs = design_bandpass(BAND)
     ours = filter_offline(rec, coeffs).samples
     # exact contract: 72-sample even reflection each side, two zero-state passes
-    pad = min(3 * max(2 * len(coeffs.sections), 24), x.shape[0] - 1)
+    pad = min(3 * max(2 * coeffs.sos.shape[0], 24), x.shape[0] - 1)
     xp = np.pad(x, ((pad, pad), (0, 0)), mode="reflect")
     fwd = signal.sosfilt(coeffs.sos, xp, axis=0)
     ref = signal.sosfilt(coeffs.sos, fwd[::-1], axis=0)[::-1][pad:-pad]
@@ -217,7 +210,7 @@ def test_chunked_causal_filter_is_bit_identical():
 def test_causal_state_shape_and_channel_check():
     coeffs = design_bandpass(BAND)
     state = causal_filter_state(coeffs, 3)
-    assert state.shape == (len(coeffs.sections), 2, 3)
+    assert state.shape == (coeffs.sos.shape[0], 2, 3)
     assert np.all(state == 0.0)
     with pytest.raises(ChannelCountMismatch):
         filter_causal_step(coeffs, state, np.zeros((8, 5)))
