@@ -81,9 +81,8 @@ def commands() -> list[tuple[str, list[str]]]:
                                            "study/online1", "--csv",
                                            f"grid-causal-{tag}.csv", "--causal"]),
         ]
-    # the PCA fits above keep at most a quarter of the Gram's order (k=12 and
-    # 24 of 204 rows, 8 of a fold's 102), so they all take the subset
-    # eigensolve; these take the full one (k=60 of 204, 40 of a fold's 102)
+    # PCA fits that keep more than a quarter of the Gram's order (k=60 of
+    # 204 rows, 40 of a fold's 102)
     cmds += [
         ("train-pca60", ["train", "--session", "study/offline", "--out", "dec-pca60",
                          "--mode", "pca", "--pca", "60"]),
@@ -103,6 +102,16 @@ def commands() -> list[tuple[str, list[str]]]:
                           "--band-high", "12"]),
         ("eval-samples-order8", ["eval-samples", "--decoder", "dec-order8",
                                  "--session", "study/online2"]),
+    ]
+    # every PCA fit above has a Gram of order 204 or less, which the full
+    # eigensolve serves at any k; a 7 s feedback gives 97 windows a trial,
+    # so this train fit's Gram has order 1164, and at k=24 it takes the
+    # solve for the k leading pairs alone
+    cmds += [
+        ("generate-long", ["generate", "--out", "study-long", "--seed", "7", "--n-runs",
+                           "2", "--trials-per-run", "6", "--feedback-s", "7.0"]),
+        ("train-pca-long", ["train", "--session", "study-long/offline", "--out",
+                            "dec-pca-long", "--mode", "pca", "--pca", "24"]),
     ]
     return cmds
 

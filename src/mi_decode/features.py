@@ -4,14 +4,18 @@ Welch power-spectral-density features.
 PCA eigendecomposes the smaller Gram matrix of the centered data
 (Xc Xc^T or Xc^T Xc) and keeps its k leading pairs: from one full
 divide-and-conquer solve when k is more than a quarter of the Gram's
-order, else from a solve for those pairs alone. The full solve is numpy's
-(np.linalg.eigh), so a fit on that route runs on numpy's BLAS alone:
-numpy and scipy each load their own OpenBLAS, each with its own thread
-pool, and after a call the pool that made it keeps a worker spinning,
-which then competes with the other pool's threads. Only the subset solve,
-which numpy lacks, is scipy's. It falls back to the full SVD of the
-centered data when squaring would lose the trailing components; a fixed
-sign convention makes refits bit-identical.
+order m or m is at most 1024, else from a solve for those pairs alone. The
+full solve is numpy's (np.linalg.eigh), so a fit on that route runs on
+numpy's BLAS alone: numpy and scipy each load their own OpenBLAS, each
+with its own thread pool, and after a call the pool that made it keeps a
+worker spinning, which then competes with the other pool's threads. Only
+the subset solve, which numpy lacks, is scipy's; it serves the large
+Grams with few pairs wanted, where a full solve would cost more time and
+memory than the pool switch. The route depends on the input's shape
+alone. Rows holding a NaN or an Inf are refused (NonFiniteSample) before
+any solve. The fit falls back to the full SVD of the centered data when
+squaring would lose the trailing components; a fixed sign convention
+makes refits bit-identical.
 pca_fit_transform also returns the fitted rows' projections, read off the
 decomposition rather than computed by projecting the rows again. It centers
 the matrix it is given in place, so a fit holds one copy of the rows: its
@@ -52,7 +56,13 @@ from scipy.linalg import eigh
 from scipy.signal import sosfreqz
 
 from . import store
-from .errors import BadK, DimensionMismatch, MalformedMeta, WindowTooShort
+from .errors import (
+    BadK,
+    DimensionMismatch,
+    MalformedMeta,
+    NonFiniteSample,
+    WindowTooShort,
+)
 from .dsp import BandpassSpec, WindowSet, _channel_major_runs, design_bandpass
 
 
@@ -79,19 +89,47 @@ ORTHO_TOL = 1e-10
 MIN_EIG_RATIO = 1e-6
 
 
-# Above this share of the Gram's order m, one full divide-and-conquer solve
-# (LAPACK dsyevd) beats computing only the k leading pairs by bisection and
-# inverse iteration (dsyevr). On a 2-core VM, with the full solve on
-# numpy's LAPACK and the subset solve on scipy's, a whole _top_k_eigen
-# call (Gram, solve, map back; median of 11) on time-domain rows took
-# 111-114 ms against 274-278 ms at m=756 and k=200, and 276-359 ms against
-# 299-332 ms at m=1260 and k=24. With both solves on scipy, m=5040 and
+# The full solve (LAPACK dsyevd, all m pairs) serves a Gram of order m when
+# k is above this share of m, or when m is at most FULL_EIGH_MAX_ORDER;
+# otherwise only the k leading pairs are computed, by bisection and inverse
+# iteration (dsyevr). The full solve is numpy's and the subset solve
+# scipy's, and numpy and scipy each load their own OpenBLAS, whose thread
+# pool keeps a worker spinning after each call: on the subset route that
+# worker competes with the numpy products that follow the fit.
+#
+# Above the share: on a 2-core VM, a whole _top_k_eigen call (Gram, solve,
+# map back; median of 11) on time-domain rows took 111-114 ms against
+# 274-278 ms at m=756 and k=200. With both solves on scipy, m=5040 and
 # k=800 (a random Gram) took 14.9 s against 12.1 s, with 333 MB more peak
 # memory, and the default pca-sweep's folds (m=3780, k=1600) took 6.3 s
 # against 9.4 s on a random Gram. Those folds take the full solve: the
 # whole sweep took 130 s and peaked at 1684 MB of RSS, where the subset
 # route on scipy had peaked at 1688 MB.
+#
+# Up to the order: on the same VM (numpy 2.4.6, scipy 1.17.1), one CV
+# fold's PCA step (copy m rows of 6656 random features, pca_fit_transform,
+# project m/2 held-out rows; median of 5), full route against subset route:
+#
+#     m      k    full     subset
+#     630    24    117 ms   169 ms
+#     768    24    186 ms   247 ms
+#     768     1    215 ms   204 ms
+#     1024   24    259 ms   312 ms
+#     1024    8    241 ms   249 ms
+#     1024    1    348 ms   326 ms
+#     1088   24    406 ms   385 ms
+#     1280   24    481 ms   399 ms
+#     1536   24    703 ms   533 ms
+#     2048   24   1684 ms  1068 ms
+#
+# The solve alone is slower on the full route at every order measured
+# (84 against 59 ms at m=630, k=24), so the gain up to m=1024 is the
+# numpy work after the fit running without scipy's spinning worker; from
+# m=1088 the full solve's extra cost outweighs it. The default train
+# (m=5040, k=800) stays on the subset route, where a full solve doubled its
+# peak RSS (661 against 1404 MB).
 FULL_EIGH_SHARE = 0.25
+FULL_EIGH_MAX_ORDER = 1024
 
 
 def _top_k_eigen(
@@ -100,12 +138,19 @@ def _top_k_eigen(
     """(components, eigenvalues, trace, projections) from the top-k pairs of
     the smaller Gram matrix, or None when they fail the acceptance rule
     above. projections are the rows of Xc in the components' basis, or
-    None when they are left to the caller (the n > d route)."""
+    None when they are left to the caller (the n > d route). Raises
+    NonFiniteSample, before any solve, when the Gram's trace is not finite:
+    exactly when Xc holds a NaN or an Inf (a non-finite entry makes its
+    whole centered column non-finite), or its squares overflow."""
     n, d = Xc.shape
     gram = Xc @ Xc.T if n <= d else Xc.T @ Xc
     m = gram.shape[0]
     total = float(np.trace(gram))
-    if k > FULL_EIGH_SHARE * m:
+    if not np.isfinite(total):
+        raise NonFiniteSample(
+            f"PCA rows are not all finite: their centered Gram matrix has trace {total}"
+        )
+    if k > FULL_EIGH_SHARE * m or m <= FULL_EIGH_MAX_ORDER:
         # dsyevd on numpy's LAPACK, so that the fit stays on numpy's
         # OpenBLAS thread pool and never wakes scipy's; keep a copy of the
         # k eigenvectors needed, so that the m x m output is freed at once
@@ -164,14 +209,16 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
     Only the k leading eigenpairs of the smaller Gram matrix of the centered
     data Xc are kept: Xc Xc^T when n <= d, mapped back as
     V = U^T Xc / sigma, else Xc^T Xc. When k is more than a quarter of the
-    Gram's order (FULL_EIGH_SHARE) they come from one full eigensolve,
-    numpy's, so that the fit never leaves numpy's BLAS thread pool for
-    scipy's; otherwise from scipy's solve for those k pairs alone. Either
-    way the pairs are the same to rounding, so components nest across k.
+    Gram's order m (FULL_EIGH_SHARE) or m is at most 1024
+    (FULL_EIGH_MAX_ORDER) they come from one full eigensolve, numpy's, so
+    that the fit never leaves numpy's BLAS thread pool for scipy's;
+    otherwise from scipy's solve for those k pairs alone. Either way the
+    pairs are the same to rounding, so components nest across k.
     They are kept when the rows come out orthonormal to 1e-10 and
     lambda_k >= 1e-6 * lambda_1; otherwise (rank-deficient or badly
     conditioned data, including any k = n <= d) the fit is the full SVD of
-    Xc, which is exact for every component.
+    Xc, which is exact for every component. Rows holding a NaN or an Inf
+    raise NonFiniteSample before any solve, on every route.
 
     The projections Z (n, k) of X are taken from the decomposition rather
     than by projecting X again: U sqrt(lambda) on the n <= d route,
@@ -210,8 +257,9 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
 def pca_fit(X: np.ndarray, k: int) -> PcaTransform:
     """Fit a k-component PCA to the rows of X: ``pca_fit_transform``'s fit,
     the same Gram eigensolve (one full solve when k is more than a quarter
-    of the Gram's order) or SVD fallback, without its training projections.
-    The fit centers a copy of X; X is left as it is."""
+    of the Gram's order m or m <= 1024) or SVD fallback, and the same
+    NonFiniteSample for rows holding a NaN or an Inf, without its training
+    projections. The fit centers a copy of X; X is left as it is."""
     return pca_fit_transform(np.array(X, dtype=np.float64), k)[0]
 
 

@@ -22,12 +22,14 @@ from mi_decode.errors import (
     DimensionMismatch,
     MalformedMeta,
     MissingFile,
+    NonFiniteSample,
     WindowTooShort,
 )
 from mi_decode.evaluate import (
     FeatureConfig,
     pca_sweep,
     raw_feature_matrix,
+    runwise_cv,
     train_decoder,
 )
 from mi_decode.features import (
@@ -206,10 +208,19 @@ def _route(call, m, k):
     return "subset"
 
 
-# the Gram's order m is min(n, d); cases sit on both sides of k = m / 4
+M = features.FULL_EIGH_MAX_ORDER
+# the cases below that take scipy's solve for the k leading pairs alone
+SUBSET_CASES = {((M + 1, M + 40), 24), ((M + 40, M + 1), 24), ((M + 1, M + 40), (M + 1) // 4)}
+
+
+# the Gram's order m is min(n, d). The full solve serves k > m / 4 or
+# m <= M; the cases sit on both sides of each condition, with n <= d and
+# n > d, and only large Grams with few pairs wanted take the subset solve
 @pytest.mark.parametrize("shape,k", [
     ((40, 120), 10), ((300, 30), 12), ((40, 120), 11), ((40, 120), 39),
     ((300, 30), 7), ((300, 30), 8), ((120, 400), 30), ((120, 400), 31),
+    ((M, M + 40), 24), ((M + 40, M), 24), ((M + 1, M + 40), 24), ((M + 40, M + 1), 24),
+    ((M + 1, M + 40), (M + 1) // 4), ((M + 1, M + 40), (M + 1) // 4 + 1),
 ])
 def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls, eigh_calls):
     rng = np.random.default_rng(4210)
@@ -220,8 +231,8 @@ def test_top_k_eigen_route_matches_svd_oracle(shape, k, svd_calls, eigh_calls):
     pca_transform(t, X)
     assert X.tobytes() == X0.tobytes()  # the public fit and transform copy X
     m = min(shape)
-    # one full solve when k > m / 4, else a solve for the k pairs alone
-    assert [_route(c, m, k) for c in eigh_calls] == ["full" if 4 * k > m else "subset"]
+    route = "subset" if (shape, k) in SUBSET_CASES else "full"
+    assert [_route(c, m, k) for c in eigh_calls] == [route]
     oracle = _oracle_components(X, k)
     assert np.abs(t.components - oracle).max() < 1e-10
     assert np.abs(t.components @ t.components.T - np.eye(k)).max() < 1e-10
@@ -242,6 +253,30 @@ def test_full_route_fits_never_call_scipy_eigh(small_offline, eigh_calls):
     eigh_calls.clear()
     pca_sweep(small_offline, ks=(8, 60), config=config)
     assert eigh_calls == [("numpy", {})] * 2  # one fit per fold, at k=60
+    eigh_calls.clear()
+    # psd+pca at k=24: at most a quarter of those orders, but every Gram is
+    # at most FULL_EIGH_MAX_ORDER, so the full route serves these fits too
+    config = FeatureConfig(mode="psd+pca", k=24)
+    train_decoder([small_offline], config)
+    runwise_cv(small_offline, config)
+    assert eigh_calls == [("numpy", {})] * 3  # the train fit, then one per fold
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("shape,k", [((40, 120), 10), ((M + 1, M + 40), 24)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pca_fit_refuses_non_finite_rows_before_any_solve(
+    shape, k, bad, svd_calls, eigh_calls
+):
+    # one full-route and one subset-route shape: the refusal comes from the
+    # Gram's trace, before either solve or the SVD fallback runs
+    X = np.random.default_rng(4215).standard_normal(shape)
+    X[shape[0] // 2, 3] = bad
+    with pytest.raises(NonFiniteSample):
+        pca_fit(X, k)
+    with pytest.raises(NonFiniteSample):
+        pca_fit_transform(X.copy(), k)
+    assert eigh_calls == [] and svd_calls == []
 
 
 def _assert_projections(X, k):
