@@ -2,20 +2,18 @@
 
 The band-pass is a Butterworth design from scipy.signal.butter, as
 second-order sections. Offline filtering is zero-phase forward-backward
-with a fixed reflect-pad rule; the causal path is one forward pass. Both
-run in one core, _bandpass, on a channel-major copy of the samples, the
-layout sosfilt filters in. windows_from_recording checks the markers and
-the window layout first, filters (the causal pass only up to the last
-trial's end), copies the trial rows alone back to time-major into the one
-buffer its WindowSet holds, and applies CAR to that buffer in place. The
-streaming path is a causal forward-only cascade whose chunked output is
-bit-identical to the one-shot forward pass; stream_windows feeds it in
-arrival order, cuts each trial with window_trials, whose checks and layout
-windows_from_recording shares, so the stream refuses a trial as the batch
-path does, when it arrives, and applies CAR to that trial's window set in
-place. Windowing copies no window: a WindowSet holds the trials' samples
-once as one signal, and window i is signal[starts[i] : starts[i] +
-win_len]; its windows property builds the stacked copy only on request.
+with a fixed reflect-pad rule; the causal path is one forward pass.
+filter_offline, filter_forward, apply_car and preprocess are the plain
+reference (np.pad, sosfilt, row means) the windowing paths are tested
+against. Both windowing paths refuse a bad recording in one entry check,
+_checked_trials. windows_from_recording then filters in one core,
+_bandpass, on a channel-major copy of the samples, and copies the trial
+rows alone back to time-major into its WindowSet's one buffer, for CAR in
+place. stream_windows feeds a causal cascade, bit-identical in any
+chunking to the one-shot pass, in arrival order, and cuts each trial with
+window_trials, whose checks the batch path shares, so a bad trial is
+refused when it arrives. Windowing copies no window: window i of a
+WindowSet is signal[starts[i] : starts[i] + win_len], held once.
 """
 
 from __future__ import annotations
@@ -75,8 +73,7 @@ def design_bandpass(spec: BandpassSpec) -> FilterCoefficients:
 
 
 def _pad_len(coeffs: FilterCoefficients, n_samples: int) -> int:
-    pad = 3 * max(2 * coeffs.sos.shape[0], 24)
-    return min(pad, n_samples - 1)
+    return min(3 * max(2 * coeffs.sos.shape[0], 24), n_samples - 1)
 
 
 # Rows per block when copying between time-major and channel-major layouts:
@@ -85,12 +82,11 @@ def _pad_len(coeffs: FilterCoefficients, n_samples: int) -> int:
 _BLOCK_ROWS = 8192
 
 
-def _copy_rows(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+def _copy_rows(dst: np.ndarray, src: np.ndarray) -> None:
     """dst[:] = src for two (n_samples, n_channels) views, one of them the
     transpose of a channel-major buffer, copied a block of rows at a time."""
     for start in range(0, src.shape[0], _BLOCK_ROWS):
         dst[start : start + _BLOCK_ROWS] = src[start : start + _BLOCK_ROWS]
-    return dst
 
 
 def _bandpass(x: np.ndarray, coeffs: FilterCoefficients, zero_phase: bool) -> np.ndarray:
@@ -102,8 +98,8 @@ def _bandpass(x: np.ndarray, coeffs: FilterCoefficients, zero_phase: bool) -> np
     channel-major buffer, reflect-padded by _pad_len samples on each side
     when zero_phase, and filtered forward from zero state; a zero-phase
     result is then filtered again, from zero state, in reverse time, and
-    the padding is cut off the view. Either way each channel sees the
-    arithmetic sosfilt(coeffs.sos, x, axis=0) gives it.
+    the padding is cut off the view. Either way the result has the bits of
+    the reference, filter_offline or filter_forward.
     """
     n, n_channels = x.shape
     pad = _pad_len(coeffs, n) if zero_phase else 0
@@ -119,28 +115,23 @@ def _bandpass(x: np.ndarray, coeffs: FilterCoefficients, zero_phase: bool) -> np
     return y.T
 
 
-def _filter_recording(
-    rec: Recording, coeffs: FilterCoefficients, zero_phase: bool
-) -> Recording:
-    y = _bandpass(rec.samples, coeffs, zero_phase)
-    return rec.with_samples(_copy_rows(np.empty(y.shape), y))
-
-
 def filter_offline(rec: Recording, coeffs: FilterCoefficients) -> Recording:
     """Zero-phase (forward-backward) filtering of every channel.
 
     The signal is reflect-padded by 3 * max(2 * n_sections, 24) samples on
-    each side before the two passes and trimmed afterwards, so the result
-    is deterministic and edge transients stay out of the data. Both passes
-    run on one channel-major copy of the samples (see _bandpass), which
-    is copied back to time-major once.
+    each side (at most n_samples - 1) before two zero-state sosfilt passes
+    and trimmed afterwards, so edge transients stay out of the data.
     """
-    return _filter_recording(rec, coeffs, zero_phase=True)
+    n = rec.n_samples
+    pad = _pad_len(coeffs, n)
+    x = np.pad(rec.samples, ((pad, pad), (0, 0)), mode="reflect")
+    y = sosfilt(coeffs.sos, sosfilt(coeffs.sos, x, axis=0)[::-1], axis=0)[::-1]
+    return rec.with_samples(y[pad : pad + n])
 
 
 def filter_forward(rec: Recording, coeffs: FilterCoefficients) -> Recording:
     """Single forward pass from zero state, as the causal/online path sees it."""
-    return _filter_recording(rec, coeffs, zero_phase=False)
+    return rec.with_samples(sosfilt(coeffs.sos, rec.samples, axis=0))
 
 
 def causal_filter_state(coeffs: FilterCoefficients, n_channels: int) -> np.ndarray:
@@ -161,8 +152,7 @@ def filter_causal_step(
         raise ChannelCountMismatch(
             f"rows have {rows.shape[1]} channels, state expects {state.shape[2]}"
         )
-    out, new_state = sosfilt(coeffs.sos, rows, axis=0, zi=state)
-    return out, new_state
+    return sosfilt(coeffs.sos, rows, axis=0, zi=state)
 
 
 def _check_car_channels(n_channels: int) -> None:
@@ -170,14 +160,14 @@ def _check_car_channels(n_channels: int) -> None:
         raise TooFewChannels(f"CAR needs >= 2 channels, got {n_channels}")
 
 
-def _subtract_row_means(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.subtract(x, x.mean(axis=1, keepdims=True), out=out)
+def _subtract_row_means(x: np.ndarray) -> None:
+    np.subtract(x, x.mean(axis=1, keepdims=True), out=x)
 
 
 def apply_car(rec: Recording) -> Recording:
     """Common average reference: subtract the instantaneous cross-channel mean."""
     _check_car_channels(rec.n_channels)
-    return rec.with_samples(_subtract_row_means(rec.samples))
+    return rec.with_samples(rec.samples - rec.samples.mean(axis=1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -209,6 +199,21 @@ def preprocess(
     return rec
 
 
+def _checked_trials(
+    rec: Recording, params: PreprocessParams
+) -> tuple[FilterCoefficients, list[Trial]]:
+    """rec's band-pass and trials, once the band (InvalidBand), CAR's channel
+    count (TooFewChannels), the markers (OrphanMarker, OverlappingTrials)
+    and NoTrials are checked, in that order, as every windowing path does."""
+    coeffs = design_bandpass(params.band_spec(rec.fs))
+    if params.car:
+        _check_car_channels(rec.n_channels)
+    trials = extract_trials(rec)
+    if not trials:
+        raise NoTrials("recording has no cue/feedback markers")
+    return coeffs, trials
+
+
 def windows_from_recording(
     rec: Recording, params: PreprocessParams, causal: bool = False
 ) -> WindowSet:
@@ -216,18 +221,13 @@ def windows_from_recording(
     rec, params, causal)), params.win_len_s, params.step_s)``, raising the
     same errors in the same order.
 
-    Every check runs before the filter. The recording is band-passed in
-    channel-major layout (see _bandpass), the causal pass only up to the
-    last trial's end; the trial rows alone are copied back to time-major,
-    into the one buffer the WindowSet holds, and CAR runs on that buffer
-    in place.
+    Every check (_checked_trials', then the layout's) runs before the
+    filter. The recording is band-passed in channel-major layout (see
+    _bandpass), the causal pass only up to the last trial's end; the trial
+    rows alone are copied back to time-major, into the one buffer the
+    WindowSet holds, and CAR runs on that buffer in place.
     """
-    coeffs = design_bandpass(params.band_spec(rec.fs))
-    if params.car:
-        _check_car_channels(rec.n_channels)
-    trials = extract_trials(rec)
-    if not trials:
-        raise NoTrials("recording has no cue/feedback markers")
+    coeffs, trials = _checked_trials(rec, params)
     layout = _window_layout(trials, params.win_len_s, params.step_s)
     end = trials[-1].start_sample + trials[-1].n_samples
     x = rec.samples[:end] if causal else rec.samples
@@ -240,7 +240,7 @@ def windows_from_recording(
         offset += t.n_samples
     del filtered  # free the channel-major result before CAR's row means
     if params.car:
-        _subtract_row_means(signal, out=signal)
+        _subtract_row_means(signal)
     return WindowSet(signal=signal, **layout)
 
 
@@ -248,17 +248,13 @@ def stream_windows(rec: Recording, params: PreprocessParams) -> Iterator[WindowS
     """Each trial's windows in arrival order, bit-identical to that trial's
     windows in ``windows_from_recording(rec, params, causal=True)``.
 
+    _checked_trials refuses a bad recording first, as on the batch path.
     One filter call takes each gap and the trial after it, carrying the
     causal state; window_trials cuts the trial, so a trial the batch path
     refuses raises the same error when it arrives, and CAR runs in place on
     the set's C-ordered signal, as it does on the batch path's.
     """
-    trials = extract_trials(rec)  # marker walk only; samples filtered below
-    if not trials:
-        raise NoTrials("recording has no cue/feedback markers")
-    coeffs = design_bandpass(params.band_spec(rec.fs))
-    if params.car:
-        _check_car_channels(rec.n_channels)
+    coeffs, trials = _checked_trials(rec, params)
     state = causal_filter_state(coeffs, rec.n_channels)
     pos = 0
     for trial in trials:
@@ -268,7 +264,7 @@ def stream_windows(rec: Recording, params: PreprocessParams) -> Iterator[WindowS
                            params.win_len_s, params.step_s)
         pos = end
         if params.car:
-            _subtract_row_means(ws.signal, out=ws.signal)
+            _subtract_row_means(ws.signal)
         yield ws
 
 

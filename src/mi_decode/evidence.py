@@ -11,8 +11,8 @@ because 0.1 * 3 > 0.3 in binary floating point.
 Batch replay, grid search and the streamed replay share one decision loop
 (``_walk``), the only code that ends a trial and builds its outcome, so a
 tuned (threshold, step) decides live exactly as it did offline; the
-stream takes its windows from ``dsp.stream_windows``, so a trial the
-batch path refuses fails in the stream when it arrives. Each
+stream takes its windows from ``dsp.stream_windows``, so it refuses a bad
+recording as the batch path does, and a bad trial when it arrives. Each
 evidence value is the exact decimal ``net * step`` rounded once to a
 float, computed by integer true division.
 """
@@ -418,11 +418,11 @@ def stream_to_report(
 
     on_event, when given, is called with every StreamEvent as it happens.
     """
-    labels = [t.label for t in extract_trials(rec)]
     outcomes = []
     for ev in stream_replay(decoder, rec, cfg, realtime=realtime):
         if on_event is not None:
             on_event(ev)
         if ev.outcome is not None:
             outcomes.append(ev.outcome)
+    labels = [t.label for t in extract_trials(rec)]
     return _report(labels, outcomes, cfg, decoder.params)

@@ -140,10 +140,10 @@ def _top_k_eigen(
     above. projections are the rows of Xc in the components' basis, or
     None when they are left to the caller (the n > d route). Raises
     NonFiniteSample, before any solve, when the Gram's trace is not finite:
-    exactly when Xc holds a NaN or an Inf (a non-finite entry makes its
-    whole centered column non-finite), or its squares overflow."""
+    Xc is finite, so when its squares overflow."""
     n, d = Xc.shape
-    gram = Xc @ Xc.T if n <= d else Xc.T @ Xc
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        gram = Xc @ Xc.T if n <= d else Xc.T @ Xc
     m = gram.shape[0]
     total = float(np.trace(gram))
     if not np.isfinite(total):
@@ -218,7 +218,7 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
     lambda_k >= 1e-6 * lambda_1; otherwise (rank-deficient or badly
     conditioned data, including any k = n <= d) the fit is the full SVD of
     Xc, which is exact for every component. Rows holding a NaN or an Inf
-    raise NonFiniteSample before any solve, on every route.
+    raise NonFiniteSample before they are centered, on every route.
 
     The projections Z (n, k) of X are taken from the decomposition rather
     than by projecting X again: U sqrt(lambda) on the n <= d route,
@@ -233,7 +233,10 @@ def pca_fit_transform(X: np.ndarray, k: int) -> tuple[PcaTransform, np.ndarray]:
     if not 1 <= k <= min(n, d):
         raise BadK(f"k={k} outside [1, {min(n, d)}]")
 
-    mean = X.mean(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):  # refused just below
+        mean = X.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise NonFiniteSample("PCA rows are not all finite, or a column's sum overflows")
     Xc = X
     Xc -= mean  # the bits of X - mean, without a second n x d matrix
     fast = _top_k_eigen(Xc, k)

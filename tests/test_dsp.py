@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from mi_decode import dsp
 from mi_decode.dsp import (
     BandpassSpec,
     PreprocessParams,
     Trial,
     WindowSet,
+    _bandpass,
+    _pad_len,
     apply_car,
     causal_filter_state,
     design_bandpass,
@@ -34,6 +37,7 @@ from mi_decode.errors import (
     TooFewChannels,
     TrialTooShort,
 )
+from mi_decode.evidence import EvidenceConfig, replay_session, stream_to_report
 from mi_decode.features import psd_features
 from mi_decode.session import ClassLabel, EventKind, Recording
 
@@ -153,29 +157,24 @@ def test_offline_zero_phase_padding_semantics():
     x = rng.standard_normal((4000, 3))
     rec = Recording(x, FS, ("a", "b", "c"), ())
     coeffs = design_bandpass(BAND)
-    ours = filter_offline(rec, coeffs).samples
-    # exact contract: 72-sample even reflection each side, two zero-state passes
-    pad = min(3 * max(2 * coeffs.sos.shape[0], 24), x.shape[0] - 1)
-    xp = np.pad(x, ((pad, pad), (0, 0)), mode="reflect")
-    fwd = signal.sosfilt(coeffs.sos, xp, axis=0)
-    ref = signal.sosfilt(coeffs.sos, fwd[::-1], axis=0)[::-1][pad:-pad]
-    assert np.array_equal(ours, ref)
+    ref = filter_offline(rec, coeffs).samples
+    # the rule: 72 samples of even reflection each side, two zero-state
+    # passes; the windowing paths' channel-major core gives the same bits
+    assert _pad_len(coeffs, x.shape[0]) == 72
+    assert np.array_equal(_bandpass(x, coeffs, zero_phase=True), ref)
     # sosfiltfilt seeds its passes differently, but initial conditions decay:
     # deep in the interior the two must agree
-    full = signal.sosfiltfilt(coeffs.sos, x, axis=0, padtype="even", padlen=pad)
-    assert np.allclose(ours[1500:2500], full[1500:2500], atol=1e-9)
+    full = signal.sosfiltfilt(coeffs.sos, x, axis=0, padtype="even", padlen=72)
+    assert np.allclose(ref[1500:2500], full[1500:2500], atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [50, 2])
 def test_offline_padding_clips_to_one_less_than_the_length(n):
     x = np.random.default_rng(4115).standard_normal((n, 3))
     coeffs = design_bandpass(BAND)
-    ours = filter_offline(Recording(x, FS, ("a", "b", "c"), ()), coeffs).samples
-    pad = n - 1  # below the 72 samples the rule asks for
-    xp = np.pad(x, ((pad, pad), (0, 0)), mode="reflect")
-    fwd = signal.sosfilt(coeffs.sos, xp, axis=0)
-    ref = signal.sosfilt(coeffs.sos, fwd[::-1], axis=0)[::-1][pad:-pad]
-    assert np.array_equal(ours, ref)
+    ref = filter_offline(Recording(x, FS, ("a", "b", "c"), ()), coeffs).samples
+    assert _pad_len(coeffs, n) == n - 1  # below the 72 samples the rule asks for
+    assert np.array_equal(_bandpass(x, coeffs, zero_phase=True), ref)
 
 
 def test_forward_matches_sosfilt():
@@ -183,9 +182,9 @@ def test_forward_matches_sosfilt():
     x = rng.standard_normal((1500, 2))
     rec = Recording(x, FS, ("a", "b"), ())
     coeffs = design_bandpass(BAND)
-    ours = filter_forward(rec, coeffs).samples
-    ref = signal.sosfilt(coeffs.sos, x, axis=0)
-    assert np.array_equal(ours, ref)
+    ref = filter_forward(rec, coeffs).samples
+    assert np.array_equal(ref, signal.sosfilt(coeffs.sos, x, axis=0))
+    assert np.array_equal(_bandpass(x, coeffs, zero_phase=False), ref)
 
 
 def test_chunked_causal_filter_is_bit_identical():
@@ -531,6 +530,20 @@ def test_preprocess_car_off():
     assert np.array_equal(out.samples, filter_offline(rec, coeffs).samples)
 
 
+@pytest.mark.parametrize("causal", [False, True])
+def test_preprocess_shares_no_code_with_the_windowing_paths(monkeypatch, causal):
+    # the reference the windowing paths are checked against must not run
+    # on their filter core, their layout copies or their in-place CAR
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference called a windowing-path helper")
+
+    for name in ("_bandpass", "_copy_rows", "_subtract_row_means"):
+        monkeypatch.setattr(dsp, name, refuse)
+    rec = _session_like_recording()
+    out = preprocess(rec, PreprocessParams(car=True), causal=causal)
+    assert out.samples.shape == rec.samples.shape
+
+
 def test_preprocess_causal_uses_forward_filter():
     rec = _session_like_recording()
     params = PreprocessParams()
@@ -592,10 +605,24 @@ SHORT_TRIAL = trial_events(100, ClassLabel.Left, 100)
 ], ids=["band", "car-channels", "orphan-cue", "no-trials", "step", "short-trial"])
 def test_windows_from_recording_error_order(n_channels, events, params, error,
                                             message, causal):
+    # the stream, its report and the batch causal replay refuse the
+    # recording with the batch path's first error
     rec = noise_recording(1000, n_channels, FS, events=events, seed=4113)
-    with pytest.raises(error) as raised:
-        windows_from_recording(rec, params, causal=causal)
-    assert str(raised.value) == message
+    decoder = SimpleNamespace(
+        params=params,
+        windows=lambda rec, causal: windows_from_recording(rec, params, causal=causal),
+        predict_windows=lambda ws: np.zeros(ws.n_windows, dtype=np.int64),
+        stream_votes=lambda ws: iter([0] * ws.n_windows),
+    )
+    cfg = EvidenceConfig(threshold=0.5, step=0.1)
+    for run in (lambda: windows_from_recording(rec, params, causal=causal),
+                lambda: next(stream_windows(rec, params)),
+                lambda: stream_to_report(decoder, rec, cfg),
+                lambda: replay_session(decoder, rec, cfg, causal=True)):
+        with pytest.raises(error) as raised:
+            run()
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("causal", [False, True])

@@ -262,20 +262,37 @@ def test_full_route_fits_never_call_scipy_eigh(small_offline, eigh_calls):
     assert eigh_calls == [("numpy", {})] * 3  # the train fit, then one per fold
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shape,k", [((40, 120), 10), ((M + 1, M + 40), 24)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_pca_fit_refuses_non_finite_rows_before_any_solve(
     shape, k, bad, svd_calls, eigh_calls
 ):
     # one full-route and one subset-route shape: the refusal comes from the
-    # Gram's trace, before either solve or the SVD fallback runs
+    # column means, before the rows are centered (so with no warning) and
+    # before either solve or the SVD fallback runs
     X = np.random.default_rng(4215).standard_normal(shape)
     X[shape[0] // 2, 3] = bad
     with pytest.raises(NonFiniteSample):
         pca_fit(X, k)
     with pytest.raises(NonFiniteSample):
         pca_fit_transform(X.copy(), k)
+    X[shape[0] // 2 + 1, 3] = -bad  # the column's mean now sums inf - inf
+    with pytest.raises(NonFiniteSample):
+        pca_fit(X, k)
+    assert eigh_calls == [] and svd_calls == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape,k", [((40, 120), 10), ((M + 1, M + 40), 24)])
+def test_pca_fit_refuses_finite_rows_whose_squares_overflow(
+    shape, k, svd_calls, eigh_calls
+):
+    # finite column means, but an infinite Gram trace: refused from the
+    # trace, with no overflow warning, before any solve
+    X = 1e160 * np.random.default_rng(4216).standard_normal(shape)
+    with pytest.raises(NonFiniteSample, match="trace inf"):
+        pca_fit(X, k)
     assert eigh_calls == [] and svd_calls == []
 
 
