@@ -7,7 +7,9 @@ pseudo-inverse behaviour on degenerate directions. A nearest-centroid
 model ships as the sanity baseline.
 
 Every model scores x as ``weights . x + bias`` and predicts Right exactly
-when the score is strictly positive; a score of 0 ties to Left.
+when the score is strictly positive; a score of 0 ties to Left. This
+module reads and writes no file: a model's kind, weights and bias are the
+``classifier`` section of a decoder's decoder.json (``evaluate.save_decoder``).
 
 A model fitted on PCA projections ``z = (x - mean) @ components.T`` is
 linear in the raw row x too, so ``LinearClassifier.fold`` turns it into one
@@ -28,12 +30,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import store
-from .errors import DimensionMismatch, MalformedMeta, SingleClass
+from .errors import DimensionMismatch, SingleClass
 from .session import ClassLabel
 
 SV_CUTOFF = 1e-12  # relative singular-value cutoff for the scatter pseudo-inverse
@@ -217,35 +217,3 @@ def fit_classifier(kind: str, X: np.ndarray, y: np.ndarray) -> LinearClassifier:
         raise ValueError(f"unknown classifier kind {kind!r}; have {sorted(FIT_FUNCTIONS)}")
     return FIT_FUNCTIONS[kind](X, y)
 
-
-MODEL_NAME = "lda.json"
-
-
-def save_classifier(clf: LinearClassifier, path, pca_id: str | None) -> None:
-    """Write lda.json; pca_id records the feature transform this model is paired with."""
-    path = store.make_dir(path)
-    store.write_json(path / MODEL_NAME, {
-        "kind": clf.kind,
-        "k": clf.n_features,
-        "weights": [float(v) for v in clf.weights],
-        "bias": clf.bias,
-        "pca_id": pca_id,
-    })
-
-
-MODEL_FIELDS = {"kind": "", "k": 0, "weights": [0.0], "bias": 0.0}
-
-
-def load_classifier(path) -> tuple[LinearClassifier, str | None]:
-    model_path = Path(path) / MODEL_NAME
-    doc = store.read_json(model_path)
-    f = store.read_fields(doc, MODEL_FIELDS, model_path)
-    pid = doc.get("pca_id")  # null for a mode without PCA
-    if pid is not None:
-        store.json_setting(pid, "", f"{model_path} 'pca_id'")
-    if len(f["weights"]) != f["k"]:
-        raise MalformedMeta(f"{model_path}: {len(f['weights'])} weights for k={f['k']}")
-    clf = LinearClassifier(
-        kind=f["kind"], weights=np.array(f["weights"], dtype=np.float64), bias=f["bias"]
-    )
-    return clf, pid

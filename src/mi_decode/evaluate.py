@@ -17,13 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import (
-    FoldedScore,
-    LinearClassifier,
-    fit_classifier,
-    load_classifier,
-    save_classifier,
-)
+from .classify import FIT_FUNCTIONS, FoldedScore, LinearClassifier, fit_classifier
 from . import store
 from .dsp import PreprocessParams, WindowSet, windows_from_recording
 from .errors import BadK, DimensionMismatch, LayoutMismatch, MalformedMeta, TooFewRuns
@@ -35,14 +29,11 @@ from .features import (
     _time_major_blocks,
     _window_dots,
     flatten_windows,
-    load_pca,
     passband_bins,
     pca_fit_transform,
-    pca_id,
     pca_transform,
     psd_features,
     psd_rows,
-    save_pca,
 )
 from .session import Recording, Session
 from .version import __version__
@@ -486,19 +477,26 @@ def finetune_experiment(
 
 
 DECODER_META_NAME = "decoder.json"
+PCA_PAYLOAD_NAME = "pca.f64le"
 
 
 def save_decoder(decoder: Decoder, path) -> None:
-    """Write a decoder directory: decoder.json, lda.json, pca.json/pca.f32le."""
+    """Write a decoder directory: decoder.json, and with a PCA stage the
+    components in pca.f64le (see load_decoder)."""
     path = store.make_dir(path)
-    pid = None
-    if decoder.pipeline.pca is not None:
-        save_pca(decoder.pipeline.pca, path)
-        pid = pca_id(decoder.pipeline.pca)
-    save_classifier(decoder.clf, path, pid)
+    pca, clf = decoder.pipeline.pca, decoder.clf
+    pca_doc = None
+    if pca is not None:
+        pca_doc = {
+            "mean": pca.mean.tolist(),
+            "explained_variance_ratio": pca.explained_variance_ratio.tolist(),
+            "sha256": store.write_f64(path / PCA_PAYLOAD_NAME, pca.components),
+        }
     store.write_json(path / DECODER_META_NAME, {
         "preprocess": decoder.params.to_dict(),
         "features": decoder.pipeline.config.to_dict(),
+        "classifier": {"kind": clf.kind, "weights": clf.weights.tolist(), "bias": clf.bias},
+        "pca": pca_doc,
         "provenance": decoder.provenance,
     })
 
@@ -509,18 +507,31 @@ def _from_json(cls, doc: dict, where: str, **known):
     return cls(**known, **store.read_fields(doc, defaults, where))
 
 
-DECODER_FIELDS = {"preprocess": {}, "features": {}, "provenance": {}}
+DECODER_FIELDS = {"preprocess": {}, "features": {}, "classifier": {}, "provenance": {}}
+CLASSIFIER_FIELDS = {"kind": "", "weights": [0.0], "bias": 0.0}
+PCA_FIELDS = {"mean": [0.0], "explained_variance_ratio": [0.0], "sha256": ""}
 
 
 def load_decoder(path) -> Decoder:
-    """Load a decoder directory, checking the classifier/PCA pairing."""
+    """Load a decoder directory, refusing one whose parts disagree.
+
+    decoder.json holds the settings, the classifier and, in a mode with
+    PCA, the PCA's mean, its explained-variance ratios and the sha256 of
+    pca.f64le, which holds the k x len(mean) components; in ``psd`` mode
+    its ``pca`` is null. k is ``features.k``: the classifier has k weights
+    and the PCA k ratios and k components, and the payload must be the one
+    the digest names. A directory without a ``classifier`` section, as in
+    the older layout with the classifier in a file of its own, is
+    MalformedMeta.
+    """
     path = Path(path)
     meta_path = path / DECODER_META_NAME
-    doc = store.read_fields(store.read_json(meta_path), DECODER_FIELDS, meta_path)
-    features = doc["features"]
+    doc = store.read_json(meta_path)
+    sections = store.read_fields(doc, DECODER_FIELDS, meta_path)
+    features = sections["features"]
     where = f"{meta_path}: features"
     try:
-        params = _from_json(PreprocessParams, doc["preprocess"], f"{meta_path}: preprocess")
+        params = _from_json(PreprocessParams, sections["preprocess"], f"{meta_path}: preprocess")
         known = {"welch": _from_json(WelchSpec, features, where)}
         if features.get("k", 0) is None:  # saved for modes without PCA
             known["k"] = None
@@ -528,22 +539,42 @@ def load_decoder(path) -> Decoder:
     except ValueError as exc:
         raise MalformedMeta(f"{meta_path}: {exc}") from exc
 
-    clf, stored_pid = load_classifier(path)
-    pca = load_pca(path) if config.uses_pca else None
-    if pca is not None:
-        actual = pca_id(pca)
-        if stored_pid != actual:
-            raise MalformedMeta(
-                f"{path}: classifier is paired with PCA {stored_pid}, "
-                f"directory holds {actual}"
-            )
-        if clf.n_features != pca.k:
+    c = store.read_fields(sections["classifier"], CLASSIFIER_FIELDS, f"{meta_path}: classifier")
+    if c["kind"] not in FIT_FUNCTIONS:
+        raise MalformedMeta(f"{meta_path}: classifier kind {c['kind']!r} is not one of "
+                            f"{sorted(FIT_FUNCTIONS)}")
+    clf = LinearClassifier(
+        kind=c["kind"], weights=np.array(c["weights"], dtype=np.float64), bias=c["bias"]
+    )
+    if "pca" not in doc or config.uses_pca != (doc["pca"] is not None):
+        need = "an object" if config.uses_pca else "null"
+        raise MalformedMeta(f"{meta_path}: mode {config.mode!r} needs a pca section of {need}")
+    pca = None
+    if config.uses_pca:
+        if clf.n_features != config.k:
             raise DimensionMismatch(
-                f"classifier expects {clf.n_features} features, PCA yields {pca.k}"
-            )
+                f"{meta_path}: {clf.n_features} classifier weights for k={config.k}")
+        pca = _read_pca(path, doc["pca"], config.k)
     return Decoder(
         params=params,
         pipeline=FeaturePipeline(config=config, pca=pca),
         clf=clf,
-        provenance=doc["provenance"],
+        provenance=sections["provenance"],
     )
+
+
+def _read_pca(path: Path, doc, k: int) -> PcaTransform:
+    """The k-component PCA of decoder.json's ``pca`` section ``doc``."""
+    where = f"{path / DECODER_META_NAME}: pca"
+    p = store.read_fields(doc, PCA_FIELDS, where)
+    mean = np.array(p["mean"], dtype=np.float64)
+    ratios = np.array(p["explained_variance_ratio"], dtype=np.float64)
+    if len(ratios) != k:
+        raise MalformedMeta(f"{where}: {len(ratios)} explained_variance_ratio values for k={k}")
+    payload_path = path / PCA_PAYLOAD_NAME
+    components, digest = store.read_f64(payload_path, (k, len(mean)), DimensionMismatch)
+    if digest != p["sha256"]:
+        raise MalformedMeta(f"{payload_path}: sha256 {digest}, decoder.json names {p['sha256']}")
+    if not np.isfinite(components).all():
+        raise MalformedMeta(f"{payload_path}: a component holds NaN or Inf")
+    return PcaTransform(mean=mean, components=components, explained_variance_ratio=ratios)

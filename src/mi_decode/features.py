@@ -21,7 +21,8 @@ decomposition rather than computed by projecting the rows again. It centers
 the matrix it is given in place, so a fit holds one copy of the rows: its
 callers (evaluate.fit_pipeline) own them and read only their shape
 afterwards. The public pca_fit and pca_transform copy their argument once
-and never change it.
+and never change it. This module reads and writes no file: a decoder saves
+its PcaTransform with ``evaluate.save_decoder``, the components as binary64.
 The Welch estimator uses Hann-tapered, 50%-overlapping modified
 periodograms with one-sided density scaling; nperseg=256 at fs=512 gives
 129 bins of 2 Hz, all of which welch_psd returns. Feature rows keep only
@@ -48,18 +49,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.signal import sosfreqz
 
-from . import store
 from .errors import (
     BadK,
     DimensionMismatch,
-    MalformedMeta,
     NonFiniteSample,
     WindowTooShort,
 )
@@ -602,42 +600,3 @@ def psd_rows(ws: WindowSet, spec: WelchSpec, bins: int | None = None) -> Iterato
         _mean_into(psd, [by_start[o] for o in need])
         yield psd.reshape(1, -1)
 
-
-PCA_META_NAME = "pca.json"
-PCA_PAYLOAD_NAME = "pca.f32le"
-
-
-def pca_id(t: PcaTransform) -> str:
-    """Content hash of the serialized components; pairs a model to its PCA."""
-    return store.f32_hash(t.components)
-
-
-def save_pca(t: PcaTransform, path) -> None:
-    """Write pca.json (mean, ratios, shape) + pca.f32le (components, row-major)."""
-    path = store.make_dir(path)
-    store.write_json(path / PCA_META_NAME, {
-        "k": t.k,
-        "d": t.d,
-        "mean": [float(v) for v in t.mean],
-        "explained_variance_ratio": [float(v) for v in t.explained_variance_ratio],
-    })
-    store.write_f32(path / PCA_PAYLOAD_NAME, t.components)
-
-
-PCA_FIELDS = {"k": 0, "d": 0, "mean": [0.0], "explained_variance_ratio": [0.0]}
-
-
-def load_pca(path) -> PcaTransform:
-    meta_path = Path(path) / PCA_META_NAME
-    doc = store.read_fields(store.read_json(meta_path), PCA_FIELDS, meta_path)
-    k, d = doc["k"], doc["d"]
-    mean = np.array(doc["mean"], dtype=np.float64)
-    ratios = np.array(doc["explained_variance_ratio"], dtype=np.float64)
-    if mean.shape != (d,) or ratios.shape != (k,):
-        raise MalformedMeta(f"{meta_path}: k={k}, d={d} but mean has shape {mean.shape} "
-                            f"and explained_variance_ratio {ratios.shape}")
-    payload_path = Path(path) / PCA_PAYLOAD_NAME
-    components = store.read_f32(payload_path, (k, d), DimensionMismatch)
-    if not np.isfinite(components).all():
-        raise MalformedMeta(f"{payload_path}: a component holds NaN or Inf")
-    return PcaTransform(mean=mean, components=components, explained_variance_ratio=ratios)

@@ -1,18 +1,19 @@
 """Every file the package reads or writes, encoded, written and parsed here.
 
-JSON (a session's meta.json; a decoder's decoder.json, lda.json and
-pca.json; reports) is written as UTF-8 text with sorted keys, indent 2 and
-a trailing newline, so equal documents are equal bytes. Binary files
-are raw little-endian binary32, row-major with no header, read back as
-float64: a session's samples.f32le is (n_samples, n_channels), sample-major
-interleaved, and a decoder's pca.f32le is (k, d), one component per row.
-Their shapes come from the JSON beside them.
+JSON (a session's meta.json, a decoder's decoder.json, reports) is written
+as UTF-8 text with sorted keys, indent 2 and a trailing newline, so equal
+documents are equal bytes. Binary files are raw little-endian arrays,
+row-major with no header, whose shapes come from the JSON beside them: a
+session's samples.f32le holds binary32, (n_samples, n_channels),
+sample-major interleaved, and is read back as float64; a decoder's
+pca.f64le holds binary64, (k, d), one component per row, and is read back
+with no conversion, together with the sha256 of its bytes.
 
 Every write failure is IoFailure, and no write creates a missing directory
 unless asked to (``make_dir``). Reading is strict: a missing file is
 MissingFile; text (JSON, or an imported CSV) that is not UTF-8 is
 MalformedMeta, and so is JSON that does not parse or holds NaN, Infinity or
-a number that overflows a float; a binary32 file of the wrong size raises
+a number that overflows a float; a binary file of the wrong size raises
 its caller's error type. Every JSON value the package reads is checked
 under ``json_setting``.
 """
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import IoFailure, MalformedMeta, MissingFile
 
 F32 = "<f4"
+F64 = "<f8"
 
 
 def json_text(doc) -> str:
@@ -42,13 +44,8 @@ def json_hash(doc) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _f32_bytes(array) -> bytes:
-    return np.ascontiguousarray(array, dtype=F32).tobytes()
-
-
-def f32_hash(array) -> str:
-    """sha256 of ``array`` as its binary32 file holds it."""
-    return hashlib.sha256(_f32_bytes(array)).hexdigest()
+def _binary(array, dtype: str) -> bytes:
+    return np.ascontiguousarray(array, dtype=dtype).tobytes()
 
 
 def make_dir(path) -> Path:
@@ -73,7 +70,14 @@ def write_json(path, doc) -> None:
 
 
 def write_f32(path, array) -> None:
-    write(path, _f32_bytes(array))
+    write(path, _binary(array, F32))
+
+
+def write_f64(path, array) -> str:
+    """Write ``array`` as binary64, and return the sha256 of the bytes."""
+    data = _binary(array, F64)
+    write(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _read(path: Path) -> bytes:
@@ -108,14 +112,28 @@ def read_json(path):
         raise MalformedMeta(f"{path}: {exc}") from exc
 
 
-def read_f32(path, shape: tuple[int, ...], error: type) -> np.ndarray:
-    """The binary32 file at ``path`` as a float64 array of ``shape``; a file
-    of any other size raises ``error``."""
+def _read_array(path, shape: tuple[int, ...], dtype: str, error: type) -> np.ndarray:
+    """The file at ``path`` as a read-only ``dtype`` array of ``shape``; a
+    file of any other size raises ``error``."""
     path = Path(path)
     raw = _read(path)
-    if len(raw) != 4 * math.prod(shape):
-        raise error(f"{path}: {len(raw)} bytes, not 4 for each of {shape} binary32 values")
-    return np.frombuffer(raw, dtype=F32).reshape(shape).astype(np.float64)
+    size = np.dtype(dtype).itemsize
+    if len(raw) != size * math.prod(shape):
+        raise error(f"{path}: {len(raw)} bytes, not {size} for each of {shape} "
+                    f"binary{8 * size} values")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+def read_f32(path, shape: tuple[int, ...], error: type) -> np.ndarray:
+    """The binary32 file at ``path`` as a float64 array of ``shape``."""
+    return _read_array(path, shape, F32, error).astype(np.float64)
+
+
+def read_f64(path, shape: tuple[int, ...], error: type) -> tuple[np.ndarray, str]:
+    """The binary64 file at ``path`` as a read-only array of ``shape``, and
+    the sha256 of its bytes."""
+    array = _read_array(path, shape, F64, error)
+    return array, hashlib.sha256(array).hexdigest()
 
 
 def json_setting(value, default, where: str):

@@ -1,6 +1,5 @@
 """Linear discriminant and centroid classifiers."""
 
-import json
 import tracemalloc
 from fractions import Fraction
 
@@ -12,10 +11,8 @@ from mi_decode.classify import (
     centroid_fit,
     fit_classifier,
     lda_fit,
-    load_classifier,
-    save_classifier,
 )
-from mi_decode.errors import DimensionMismatch, MalformedMeta, MissingFile, SingleClass
+from mi_decode.errors import DimensionMismatch, SingleClass
 from mi_decode.session import ClassLabel
 
 L = ClassLabel.Left.value
@@ -225,56 +222,6 @@ def test_dimension_checks():
     clf = lda_fit(X, y)
     with pytest.raises(DimensionMismatch):
         clf.score(np.zeros((2, 7)))
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(4309)
-    X, y = _clouds(rng, n_per=30, d=4)
-    clf = lda_fit(X, y)
-    save_classifier(clf, tmp_path, pca_id="abc123")
-    doc = json.loads((tmp_path / "lda.json").read_text(encoding="utf-8"))
-    assert sorted(doc) == ["bias", "k", "kind", "pca_id", "weights"]
-    back, pid = load_classifier(tmp_path)
-    assert pid == "abc123"
-    assert back.kind == clf.kind
-    # JSON stores full-precision floats, so the round trip is exact
-    assert np.array_equal(back.weights, clf.weights)
-    assert back.bias == clf.bias
-    probe = rng.standard_normal((5, 4))
-    assert np.array_equal(back.score(probe), clf.score(probe))
-
-
-def test_save_load_without_pca(tmp_path):
-    rng = np.random.default_rng(4310)
-    X, y = _clouds(rng, n_per=10, d=2)
-    save_classifier(centroid_fit(X, y), tmp_path, pca_id=None)
-    _, pid = load_classifier(tmp_path)
-    assert pid is None
-
-
-def test_load_missing(tmp_path):
-    with pytest.raises(MissingFile):
-        load_classifier(tmp_path)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"kind": "lda", "weights": [1.0]',  # truncated
-        '{"kind": "lda", "weights": [1.0], "class_means": [[0.0], [1.0]], '
-        '"priors": [0.5, 0.5]}',  # no bias
-        '{"kind": "lda", "weights": ["x"], "bias": 0.0, "class_means": [[0.0], [1.0]], '
-        '"priors": [0.5, 0.5]}',
-        '{"kind": "lda", "weights": 1.0, "bias": 0.0, "class_means": [[0.0], [1.0]], '
-        '"priors": [0.5, 0.5]}',
-        '{"kind": "lda", "k": 2, "weights": [1.0], "bias": 0.0}',  # k is not len(weights)
-        "[]",
-    ],
-)
-def test_load_malformed(tmp_path, text):
-    (tmp_path / "lda.json").write_text(text, encoding="utf-8")
-    with pytest.raises(MalformedMeta):
-        load_classifier(tmp_path)
 
 
 # --- PCA folded into the score ----------------------------------------------

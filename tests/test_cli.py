@@ -118,8 +118,7 @@ def test_train_report_and_files(cli_env):
     prov = doc["decoder"]["provenance"]
     assert prov["sessions"] == ["synth301:Offline:2runs"]
     assert prov["n_windows"] == 204
-    for fname in ("decoder.json", "lda.json", "pca.json", "pca.f32le"):
-        assert (decoder / fname).is_file()
+    assert sorted(p.name for p in decoder.iterdir()) == ["decoder.json", "pca.f64le"]
 
 
 def test_train_rejects_missing_session(tmp_path):
@@ -502,25 +501,24 @@ def test_config_file_missing_exits_1(cli_env, capsys):
 
 
 @pytest.mark.parametrize(
-    "name,drop_key",
-    [
-        ("pca.json", "mean"),
-        ("pca.json", None),
-        ("lda.json", "bias"),
-        ("lda.json", None),
-    ],
+    "drop",
+    [("pca", "mean"), ("pca", "sha256"), ("classifier", "bias"), ("classifier",), None],
+    ids=lambda keys: ".".join(keys) if keys else "truncated",
 )
-def test_malformed_decoder_file_exits_1(cli_env, tmp_path, capsys, name, drop_key):
+def test_malformed_decoder_file_exits_1(cli_env, tmp_path, capsys, drop):
     _, study, decoder = cli_env
     broken = tmp_path / "decoder"
     shutil.copytree(decoder, broken)
-    path = broken / name
+    path = broken / "decoder.json"
     text = path.read_text(encoding="utf-8")
-    if drop_key is None:  # truncated mid-document
+    if drop is None:  # truncated mid-document
         text = text[: len(text) // 2]
-    else:
+    else:  # a key of decoder.json, or of one of its sections, left out
         doc = json.loads(text)
-        del doc[drop_key]
+        section = doc
+        for key in drop[:-1]:
+            section = section[key]
+        del section[drop[-1]]
         text = json.dumps(doc)
     path.write_text(text, encoding="utf-8")
     rc = main(
@@ -529,6 +527,27 @@ def test_malformed_decoder_file_exits_1(cli_env, tmp_path, capsys, name, drop_ke
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: MalformedMeta: ")
+
+
+def test_old_layout_decoder_exits_1(cli_env, tmp_path, capsys):
+    # the layout before decoder.json held the classifier and the PCA: lda.json,
+    # pca.json and binary32 components in pca.f32le
+    _, study, decoder = cli_env
+    old = tmp_path / "decoder"
+    shutil.copytree(decoder, old)
+    doc = json.loads((old / "decoder.json").read_text(encoding="utf-8"))
+    clf, pca = doc.pop("classifier"), doc.pop("pca")
+    k, d = len(clf["weights"]), len(pca["mean"])
+    store.write_json(old / "decoder.json", doc)
+    store.write_json(old / "lda.json", {**clf, "k": k, "pca_id": pca["sha256"]})
+    store.write_json(old / "pca.json", {"k": k, "d": d, "mean": pca["mean"],
+                                        "explained_variance_ratio":
+                                        pca["explained_variance_ratio"]})
+    components, _ = store.read_f64(old / "pca.f64le", (k, d), ValueError)
+    store.write_f32(old / "pca.f32le", components)
+    (old / "pca.f64le").unlink()
+    rc = main(["eval-samples", "--decoder", str(old), "--session", str(study / "online1")])
+    _single_error(capsys, rc, "MalformedMeta")
 
 
 def test_missing_decoder_exits_1(cli_env, tmp_path, capsys):

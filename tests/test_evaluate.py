@@ -9,7 +9,7 @@ import pytest
 
 import mi_decode.evaluate as evaluate
 import mi_decode.features as features
-from mi_decode.classify import fit_classifier, save_classifier
+from mi_decode.classify import fit_classifier
 from mi_decode.dsp import PreprocessParams, WindowSet, windows_from_recording
 from mi_decode.errors import (
     BadK,
@@ -22,6 +22,7 @@ from mi_decode.errors import (
 )
 from mi_decode.evaluate import (
     DECODER_META_NAME,
+    PCA_PAYLOAD_NAME,
     CvReport,
     FeatureConfig,
     FinetuneReport,
@@ -301,7 +302,7 @@ def test_train_decoder_is_deterministic(small_offline, tmp_path):
     b = train_decoder([small_offline], SMALL_FEATURES)
     save_decoder(a, tmp_path / "a")
     save_decoder(b, tmp_path / "b")
-    for name in ("decoder.json", "lda.json", "pca.json", "pca.f32le"):
+    for name in (DECODER_META_NAME, PCA_PAYLOAD_NAME):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -406,41 +407,50 @@ def test_finetune_on_identical_online_sessions():
 # --- decoder persistence ----------------------------------------------------
 
 
-def test_decoder_round_trip(small_decoder, small_online, tmp_path):
-    save_decoder(small_decoder, tmp_path)
-    back = load_decoder(tmp_path)
-    assert back.params == small_decoder.params
-    assert back.pipeline.config == small_decoder.pipeline.config
-    assert back.provenance == small_decoder.provenance
+def _files(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
-    ws = small_decoder.windows(small_online.recording)
-    s_orig = small_decoder.clf.score(small_decoder.transform(ws))
-    s_back = back.clf.score(back.transform(ws))
-    # PCA components travel as float32; scores agree to that precision
-    assert np.allclose(s_back, s_orig, rtol=1e-4, atol=1e-6)
-    agree = np.mean(back.predict_windows(ws) == small_decoder.predict_windows(ws))
-    assert agree >= 0.99
+
+def test_decoder_round_trip(small_offline, small_online, tmp_path):
+    ws = windows_from_recording(small_online.recording, PreprocessParams())
+    for mode, k in [("pca", 8), ("psd", None), ("psd+pca", 24)]:
+        for kind in ("lda", "centroid"):
+            decoder = train_decoder([small_offline], FeatureConfig(mode=mode, k=k),
+                                    clf_kind=kind)
+            a, b = tmp_path / f"{mode}-{kind}-a", tmp_path / f"{mode}-{kind}-b"
+            save_decoder(decoder, a)
+            back = load_decoder(a)
+            assert back.params == decoder.params
+            assert back.pipeline.config == decoder.pipeline.config
+            assert back.provenance == decoder.provenance
+            # every number travels as binary64: the reloaded decoder scores
+            # and votes exactly as the one it was saved from
+            assert np.array_equal(back.clf.score(back.transform(ws)),
+                                  decoder.clf.score(decoder.transform(ws)))
+            assert np.array_equal(back.predict_windows(ws), decoder.predict_windows(ws))
+            save_decoder(back, b)
+            assert _files(b) == _files(a)
 
 
 def test_psd_decoder_round_trip(small_offline, small_online, tmp_path):
     decoder = train_decoder([small_offline], FeatureConfig(mode="psd"))
     save_decoder(decoder, tmp_path)
-    assert not (tmp_path / "pca.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [DECODER_META_NAME]
     ws = decoder.windows(small_online.recording)
     back = load_decoder(tmp_path)
     assert back.pipeline.pca is None
     assert np.array_equal(back.predict_windows(ws), decoder.predict_windows(ws))
-    meta, model = tmp_path / DECODER_META_NAME, tmp_path / "lda.json"
+    meta = tmp_path / DECODER_META_NAME
     doc = json.loads(meta.read_text(encoding="utf-8"))
-    assert sorted(doc) == ["features", "preprocess", "provenance"]
+    assert sorted(doc) == ["classifier", "features", "pca", "preprocess", "provenance"]
     assert sorted(doc["features"]) == ["k", "mode", "noverlap", "nperseg"]
-    # the keys that older decoder directories also hold are ignored on load
-    doc["classifier"] = "lda"
+    assert sorted(doc["classifier"]) == ["bias", "kind", "weights"]
+    assert doc["pca"] is None
+    # keys a reader does not ask for are ignored
     doc["features"].update(per_channel=True, taper="hann")
+    doc["classifier"].update(class_means=[[0.0] * len(doc["classifier"]["weights"])] * 2,
+                             priors=[0.5, 0.5])
     meta.write_text(json.dumps(doc), encoding="utf-8")
-    doc = json.loads(model.read_text(encoding="utf-8"))
-    doc.update(class_means=[[0.0] * doc["k"]] * 2, priors=[0.5, 0.5])
-    model.write_text(json.dumps(doc), encoding="utf-8")
     old = load_decoder(tmp_path)
     assert old.pipeline.config == back.pipeline.config
     assert np.array_equal(old.predict_windows(ws), decoder.predict_windows(ws))
@@ -467,8 +477,7 @@ def test_predict_windows_equals_two_step_path(small_offline, small_online, tmp_p
     for d in (decoder, back):
         assert np.array_equal(d.predict_windows(ws), _two_step_prediction(d, ws))
     # nothing of the fold is saved
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "decoder.json", "lda.json", "pca.f32le", "pca.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [DECODER_META_NAME, PCA_PAYLOAD_NAME]
 
 
 @pytest.mark.parametrize("decoder_name", ["small_pca_decoder", "small_decoder"],
@@ -592,21 +601,77 @@ def test_load_decoder_detects_swapped_pca(small_decoder, tmp_path):
     # overwrite the PCA payload with a different matrix of the same shape
     rng = np.random.default_rng(4503)
     k, d = small_decoder.pipeline.pca.components.shape
-    fake = rng.standard_normal((k, d)).astype("<f4")
-    (tmp_path / "pca.f32le").write_bytes(fake.tobytes())
-    with pytest.raises(MalformedMeta):
+    fake = rng.standard_normal((k, d)).astype("<f8")
+    (tmp_path / PCA_PAYLOAD_NAME).write_bytes(fake.tobytes())
+    with pytest.raises(MalformedMeta, match="sha256"):
         load_decoder(tmp_path)
 
 
-def test_load_decoder_detects_feature_count_mismatch(small_decoder, tmp_path):
-    save_decoder(small_decoder, tmp_path)
-    from mi_decode.features import load_pca, pca_id
+def _cut(doc, *lists):
+    """Drop the last item of each list named ``section.key`` in doc."""
+    for name in lists:
+        section, key = name.split(".")
+        doc[section][key] = doc[section][key][:-1]
 
-    pid = pca_id(load_pca(tmp_path))
-    short = small_decoder.clf
-    clipped = type(short)(kind=short.kind, weights=short.weights[:-3], bias=short.bias)
-    save_classifier(clipped, tmp_path, pid)
-    with pytest.raises(DimensionMismatch):
+
+def _cut_k(doc, *lists):
+    doc["features"]["k"] -= 1
+    _cut(doc, *lists)
+
+
+# name: (decoder fixture, edit(decoder.json's document, payload path), error);
+# the first three edits loaded before decoder.json held the classifier and PCA
+DISAGREEING_PARTS = {
+    "k-over-the-pca": (
+        "small_decoder", lambda doc, _: doc["features"].update(k=800), DimensionMismatch),
+    "unknown-classifier-kind": (
+        "small_decoder", lambda doc, _: doc["classifier"].update(kind="svm"), MalformedMeta),
+    "psd-mode-over-a-pca-classifier": (
+        "small_decoder", lambda doc, _: doc["features"].update(mode="psd"), MalformedMeta),
+    "pca-section-in-psd-mode": ("psd_decoder", lambda doc, _: doc.update(pca={
+        "mean": [0.0], "explained_variance_ratio": [1.0], "sha256": "0" * 64}), MalformedMeta),
+    "no-pca-section-in-pca-mode": (
+        "small_decoder", lambda doc, _: doc.update(pca=None), MalformedMeta),
+    "pca-section-left-out": ("small_pca_decoder", lambda doc, _: doc.pop("pca"), MalformedMeta),
+    "pca-section-not-an-object": (
+        "small_decoder", lambda doc, _: doc.update(pca=[1.0]), MalformedMeta),
+    "classifier-section-not-an-object": (
+        "small_decoder", lambda doc, _: doc.update(classifier=[]), MalformedMeta),
+    "weight-count-not-k": (
+        "small_pca_decoder", lambda doc, _: _cut(doc, "classifier.weights"), DimensionMismatch),
+    "ratio-count-not-k": (
+        "small_decoder", lambda doc, _: _cut(doc, "pca.explained_variance_ratio"), MalformedMeta),
+    "k-and-weights-cut": (
+        "small_decoder", lambda doc, _: _cut_k(doc, "classifier.weights"), MalformedMeta),
+    "k-weights-and-ratios-cut": ("small_decoder", lambda doc, _: _cut_k(
+        doc, "classifier.weights", "pca.explained_variance_ratio"), DimensionMismatch),
+    "mean-longer-than-the-payload-rows": (
+        "small_decoder", lambda doc, _: doc["pca"]["mean"].append(0.0), DimensionMismatch),
+    "digest-of-another-payload": (
+        "small_decoder", lambda doc, _: doc["pca"].update(sha256="0" * 64), MalformedMeta),
+    "payload-short": (
+        "small_pca_decoder", lambda _, p: p.write_bytes(p.read_bytes()[:-8]), DimensionMismatch),
+    "payload-long": (
+        "small_decoder", lambda _, p: p.write_bytes(p.read_bytes() + bytes(8)), DimensionMismatch),
+    "payload-missing": ("small_decoder", lambda _, p: p.unlink(), MissingFile),
+}
+
+
+@pytest.fixture(scope="module")
+def psd_decoder(small_offline):
+    return train_decoder([small_offline], FeatureConfig(mode="psd"), clf_kind="centroid")
+
+
+@pytest.mark.parametrize("case", DISAGREEING_PARTS)
+def test_load_decoder_refuses_parts_that_disagree(case, request, tmp_path):
+    fixture, edit, error = DISAGREEING_PARTS[case]
+    save_decoder(request.getfixturevalue(fixture), tmp_path)
+    load_decoder(tmp_path)  # as saved, the parts agree
+    meta = tmp_path / DECODER_META_NAME
+    doc = json.loads(meta.read_text(encoding="utf-8"))
+    edit(doc, tmp_path / PCA_PAYLOAD_NAME)
+    meta.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(error):
         load_decoder(tmp_path)
 
 
@@ -643,9 +708,7 @@ def test_decoder_round_trip_of_every_setting(small_offline, tmp_path):
     assert back.pipeline.config == config
     assert back.clf.kind == "centroid"
     save_decoder(back, tmp_path / "b")
-    assert (tmp_path / "b" / DECODER_META_NAME).read_bytes() == (
-        tmp_path / "a" / DECODER_META_NAME
-    ).read_bytes()
+    assert _files(tmp_path / "b") == _files(tmp_path / "a")
 
 
 def test_load_decoder_missing_and_malformed(small_decoder, tmp_path):

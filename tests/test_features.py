@@ -1,6 +1,5 @@
-"""PCA, Welch PSD features, flattening, PCA persistence."""
+"""PCA, Welch PSD features and flattening."""
 
-import json
 from itertools import islice
 
 import numpy as np
@@ -20,8 +19,6 @@ from mi_decode.dsp import (
 from mi_decode.errors import (
     BadK,
     DimensionMismatch,
-    MalformedMeta,
-    MissingFile,
     NonFiniteSample,
     WindowTooShort,
 )
@@ -33,19 +30,15 @@ from mi_decode.evaluate import (
     train_decoder,
 )
 from mi_decode.features import (
-    PCA_PAYLOAD_NAME,
     PcaTransform,
     WelchSpec,
     flatten_windows,
-    load_pca,
     passband_bins,
     pca_fit,
     pca_fit_transform,
-    pca_id,
     pca_transform,
     psd_features,
     psd_rows,
-    save_pca,
     welch_psd,
 )
 from mi_decode.session import ClassLabel, SessionKind
@@ -715,66 +708,3 @@ def test_standard_full_size_feature_count():
     psd = FeatureConfig(mode="psd", k=None)
     assert raw_feature_matrix(ws, psd, PreprocessParams()).n_features == 676
 
-
-# --- persistence ------------------------------------------------------------
-
-
-def test_pca_round_trip_and_id(tmp_path):
-    rng = np.random.default_rng(4215)
-    t = pca_fit(rng.standard_normal((40, 12)), 5)
-    save_pca(t, tmp_path)
-    back = load_pca(tmp_path)
-    assert back.k == 5 and back.d == 12
-    assert np.array_equal(back.mean, t.mean)  # JSON floats round-trip exactly
-    assert np.array_equal(
-        back.components, t.components.astype(np.float32).astype(np.float64)
-    )
-    assert np.array_equal(back.explained_variance_ratio, t.explained_variance_ratio)
-    # the content hash is computed over float32 bytes, so it survives the trip
-    assert pca_id(back) == pca_id(t)
-
-
-def test_pca_id_distinguishes_fits():
-    rng = np.random.default_rng(4216)
-    a = pca_fit(rng.standard_normal((30, 6)), 3)
-    b = pca_fit(rng.standard_normal((30, 6)), 3)
-    assert pca_id(a) != pca_id(b)
-    assert len(pca_id(a)) == 64
-
-
-def test_pca_load_errors(tmp_path):
-    with pytest.raises(MissingFile):
-        load_pca(tmp_path / "absent")
-    t = pca_fit(np.random.default_rng(4217).standard_normal((10, 4)), 2)
-    save_pca(t, tmp_path)
-    payload = tmp_path / PCA_PAYLOAD_NAME
-    payload.write_bytes(payload.read_bytes()[:-4])
-    with pytest.raises(DimensionMismatch):
-        load_pca(tmp_path)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda doc: doc.pop("mean"),
-        lambda doc: doc.update(k="two"),
-        lambda doc: doc.update(mean=[0.0]),
-        lambda doc: doc.update(explained_variance_ratio=None),
-    ],
-)
-def test_pca_load_malformed_meta(tmp_path, edit):
-    save_pca(pca_fit(np.random.default_rng(4218).standard_normal((10, 4)), 2), tmp_path)
-    meta = tmp_path / "pca.json"
-    doc = json.loads(meta.read_text(encoding="utf-8"))
-    edit(doc)
-    meta.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(MalformedMeta):
-        load_pca(tmp_path)
-
-
-def test_pca_load_truncated_meta(tmp_path):
-    save_pca(pca_fit(np.random.default_rng(4219).standard_normal((10, 4)), 2), tmp_path)
-    meta = tmp_path / "pca.json"
-    meta.write_text(meta.read_text(encoding="utf-8")[:40], encoding="utf-8")
-    with pytest.raises(MalformedMeta):
-        load_pca(tmp_path)

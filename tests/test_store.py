@@ -1,9 +1,11 @@
 """The strict read rule of every JSON file the package reads: each field of
-meta.json, pca.json and lda.json must have the JSON type it was written
-with, and no file may hold NaN, Infinity or a number that overflows."""
+meta.json and of decoder.json's classifier and pca sections must have the
+JSON type it was written with, and no file may hold NaN, Infinity or a
+number that overflows."""
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import shutil
@@ -13,11 +15,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mi_decode.classify import MODEL_NAME, lda_fit, load_classifier, save_classifier
+from mi_decode.classify import lda_fit
 from mi_decode.cli import main
+from mi_decode.dsp import PreprocessParams
 from mi_decode.errors import MalformedMeta
-from mi_decode.evaluate import save_decoder
-from mi_decode.features import PCA_META_NAME, PCA_PAYLOAD_NAME, load_pca, pca_fit, save_pca
+from mi_decode.evaluate import (
+    DECODER_META_NAME,
+    PCA_PAYLOAD_NAME,
+    Decoder,
+    FeatureConfig,
+    FeaturePipeline,
+    load_decoder,
+    save_decoder,
+)
+from mi_decode.features import pca_fit
 from mi_decode.session import (
     META_NAME,
     EventKind,
@@ -58,19 +69,26 @@ def _session(path):
     )
     meta = SessionMeta("s01", Sensor.Gel, SessionKind.Offline, 2)
     save_session(rec, meta, path)
-    return load_session, META_NAME
+    return load_session, META_NAME, ()
+
+
+def _decoder(path):
+    """A psd+pca decoder with k=3, fit to random rows, saved to path."""
+    rng = np.random.default_rng(4702)
+    pca = pca_fit(rng.standard_normal((12, 5)), 3)
+    clf = lda_fit(rng.standard_normal((20, 3)), np.arange(20) % 2)
+    pipeline = FeaturePipeline(FeatureConfig(mode="psd+pca", k=3), pca)
+    save_decoder(Decoder(PreprocessParams(), pipeline, clf, provenance={}), path)
 
 
 def _pca(path):
-    save_pca(pca_fit(np.random.default_rng(4702).standard_normal((12, 5)), 3), path)
-    return load_pca, PCA_META_NAME
+    _decoder(path)
+    return load_decoder, DECODER_META_NAME, ("pca",)
 
 
 def _classifier(path):
-    rng = np.random.default_rng(4703)
-    clf = lda_fit(rng.standard_normal((20, 4)), np.arange(20) % 2)
-    save_classifier(clf, path, "0" * 64)
-    return load_classifier, MODEL_NAME
+    _decoder(path)
+    return load_decoder, DECODER_META_NAME, ("classifier",)
 
 
 def _fields(doc):
@@ -81,30 +99,31 @@ def _fields(doc):
     return out
 
 
+def _get(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
 def _set(doc, keys, value):
     edited = copy.deepcopy(doc)
-    target = edited
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
+    _get(edited, keys[:-1])[keys[-1]] = value
     return edited
 
 
 @pytest.mark.parametrize("write", [_session, _pca, _classifier], ids=lambda f: f.__name__[1:])
 def test_every_field_of_wrong_type_is_refused(write, tmp_path):
-    load, name = write(tmp_path)
+    load, name, section = write(tmp_path)  # section: the key path of the checked object
     path = tmp_path / name
     doc = json.loads(path.read_text(encoding="utf-8"))
-    fields = _fields(doc)
-    assert len(fields) >= 4
+    fields = [(section + keys, written) for keys, written in _fields(_get(doc, section))]
+    assert len(fields) >= 3
 
     @DERANDOMIZED
     @given(data=st.data())
     def check(data):
         keys, written = data.draw(st.sampled_from(fields))
         value = data.draw(refused(written))
-        if keys == ("pca_id",) and value is None:  # a model without PCA
-            return
         path.write_text(json.dumps(_set(doc, keys, value)), encoding="utf-8")
         with pytest.raises(MalformedMeta):
             load(tmp_path)
@@ -125,13 +144,18 @@ def test_read_json_refuses_non_finite_numbers(tmp_path, token):
 
 
 def test_pca_payload_with_a_non_finite_component_is_refused(tmp_path):
-    _pca(tmp_path)
-    payload = tmp_path / PCA_PAYLOAD_NAME
-    values = np.frombuffer(payload.read_bytes(), dtype="<f4").copy()
-    values[2] = np.inf
-    payload.write_bytes(values.tobytes())
-    with pytest.raises(MalformedMeta, match="NaN or Inf"):
-        load_pca(tmp_path)
+    _decoder(tmp_path)
+    payload, meta = tmp_path / PCA_PAYLOAD_NAME, tmp_path / DECODER_META_NAME
+    values = np.frombuffer(payload.read_bytes(), dtype="<f8").copy()
+    doc = json.loads(meta.read_text(encoding="utf-8"))
+    for bad in (np.nan, np.inf):
+        values[2] = bad
+        payload.write_bytes(values.tobytes())
+        # decoder.json names the poisoned payload, so only the value check is left
+        doc["pca"]["sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
+        meta.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(MalformedMeta, match="NaN or Inf"):
+            load_decoder(tmp_path)
 
 
 def test_json_setting_list_items_follow_the_first_item():
@@ -161,9 +185,10 @@ NON_FINITE = [
     (f, keys, token)
     for f, keys in [
         ("session/meta.json", ("fs",)),
-        ("decoder/pca.json", ("mean", 0)),
-        ("decoder/lda.json", ("weights", 0)),
-        ("decoder/lda.json", ("bias",)),
+        ("decoder/decoder.json", ("pca", "mean", 0)),
+        ("decoder/decoder.json", ("pca", "explained_variance_ratio", 0)),
+        ("decoder/decoder.json", ("classifier", "weights", 0)),
+        ("decoder/decoder.json", ("classifier", "bias")),
         ("decoder/decoder.json", ("preprocess", "low_hz")),
         ("config", ("theta",)),
     ]
@@ -171,7 +196,7 @@ NON_FINITE = [
 ]
 # the poisoned files that loaded, and were used, before the strict read rule
 WRONG_TYPE = [
-    ("decoder/pca.json", ("k",), "8.9"),
+    ("decoder/decoder.json", ("features", "k"), "8.9"),
     ("session/meta.json", ("events", 0, "sample_index"), "1024.7"),
     ("session/meta.json", ("fs",), '"512"'),
     ("session/meta.json", ("n_runs",), "true"),
