@@ -113,6 +113,12 @@ def commands() -> list[tuple[str, list[str]]]:
         ("train-pca-long", ["train", "--session", "study-long/offline", "--out",
                             "dec-pca-long", "--mode", "pca", "--pca", "24"]),
     ]
+    # the batch causal path at dec-config's band order 6
+    cmds += [
+        ("eval-trials-causal-config", ["eval-trials", "--decoder", "dec-config",
+                                       "--session", "study/online2", "--theta", "0.3",
+                                       "--delta", "0.05", "--causal"]),
+    ]
     return cmds
 
 

@@ -159,7 +159,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             if s.key not in doc:
                 continue
             where = f"{path}: config key {s.key!r}"
-            store.json_setting(doc[s.key], s.default, where)
+            doc[s.key] = store.json_setting(doc[s.key], s.default, where)
             if s.choices is not None and doc[s.key] not in s.choices:
                 raise MalformedMeta(
                     f"{where} must be one of {list(s.choices)}, got {json.dumps(doc[s.key])}"
@@ -174,10 +174,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _build(cls, cfg: dict, **known):
     """``cls`` from the resolved settings that fill its fields."""
-    return cls(**known, **{
-        s.field: store.json_setting(cfg[s.key], s.default, s.key)
-        for s in SETTINGS if s.cls is cls
-    })
+    return cls(**known, **{s.field: cfg[s.key] for s in SETTINGS if s.cls is cls})
 
 
 def _grid_settings(cfg: dict) -> dict:

@@ -6,14 +6,15 @@ with a fixed reflect-pad rule; the causal path is one forward pass.
 filter_offline, filter_forward, apply_car and preprocess are the plain
 reference (np.pad, sosfilt, row means) the windowing paths are tested
 against. Both windowing paths refuse a bad recording in one entry check,
-_checked_trials. windows_from_recording then filters in one core,
-_bandpass, on a channel-major copy of the samples, and copies the trial
-rows alone back to time-major into its WindowSet's one buffer, for CAR in
-place. stream_windows feeds a causal cascade, bit-identical in any
-chunking to the one-shot pass, in arrival order, and cuts each trial with
-window_trials, whose checks the batch path shares, so a bad trial is
-refused when it arrives. Windowing copies no window: window i of a
-WindowSet is signal[starts[i] : starts[i] + win_len], held once.
+_checked_trials. Both filter causally with filter_causal_step, which is
+bit-identical in any chunking to the one-shot pass: windows_from_recording
+in one call, stream_windows in arrival order. windows_from_recording
+filters zero-phase in _bandpass, on a channel-major copy, and copies the
+trial rows alone into its WindowSet's one buffer, for CAR in place.
+stream_windows cuts each trial with window_trials, whose checks the batch
+path shares, so a bad trial is refused when it arrives. Windowing copies
+no window: window i of a WindowSet is signal[starts[i] : starts[i] +
+win_len], held once.
 """
 
 from __future__ import annotations
@@ -76,43 +77,35 @@ def _pad_len(coeffs: FilterCoefficients, n_samples: int) -> int:
     return min(3 * max(2 * coeffs.sos.shape[0], 24), n_samples - 1)
 
 
-# Rows per block when copying between time-major and channel-major layouts:
-# numpy's one-shot transposing copy of a long (n, 13) array runs about 3x
-# slower than the same copy made in blocks this size.
+# Rows per block when filling _bandpass's channel-major buffer: numpy's
+# one-shot transposing copy of a long (n, 13) array runs about 3x slower
+# than in blocks this size. Blocks do not speed up the copy to time-major.
 _BLOCK_ROWS = 8192
 
 
-def _copy_rows(dst: np.ndarray, src: np.ndarray) -> None:
-    """dst[:] = src for two (n_samples, n_channels) views, one of them the
-    transpose of a channel-major buffer, copied a block of rows at a time."""
-    for start in range(0, src.shape[0], _BLOCK_ROWS):
-        dst[start : start + _BLOCK_ROWS] = src[start : start + _BLOCK_ROWS]
-
-
-def _bandpass(x: np.ndarray, coeffs: FilterCoefficients, zero_phase: bool) -> np.ndarray:
-    """x (n_samples, n_channels) band-passed, as an (n_samples, n_channels)
-    view of a channel-major buffer.
+def _bandpass(x: np.ndarray, coeffs: FilterCoefficients) -> np.ndarray:
+    """x (n_samples, n_channels) band-passed zero-phase, as an (n_samples,
+    n_channels) view of a channel-major buffer.
 
     sosfilt filters each row of a C-ordered buffer, and copies any other
     layout into one first. So x is transposed once, in blocks, into a
-    channel-major buffer, reflect-padded by _pad_len samples on each side
-    when zero_phase, and filtered forward from zero state; a zero-phase
-    result is then filtered again, from zero state, in reverse time, and
-    the padding is cut off the view. Either way the result has the bits of
-    the reference, filter_offline or filter_forward.
+    channel-major buffer, reflect-padded by _pad_len samples on each side,
+    and filtered forward from zero state, then again, from zero state, in
+    reverse time, and the padding is cut off the view. The result has the
+    bits of the reference, filter_offline.
     """
     n, n_channels = x.shape
-    pad = _pad_len(coeffs, n) if zero_phase else 0
+    pad = _pad_len(coeffs, n)
     buf = np.empty((n_channels, n + 2 * pad))
-    _copy_rows(buf[:, pad : pad + n].T, x)
-    if pad:  # np.pad's "reflect": the edge sample is not repeated
-        _copy_rows(buf[:, :pad].T, x[1 : pad + 1][::-1])
-        _copy_rows(buf[:, pad + n :].T, x[n - 1 - pad : n - 1][::-1])
+    body = buf[:, pad : pad + n].T
+    for start in range(0, n, _BLOCK_ROWS):
+        body[start : start + _BLOCK_ROWS] = x[start : start + _BLOCK_ROWS]
+    # np.pad's "reflect": the edge sample is not repeated
+    buf[:, :pad] = x[1 : pad + 1][::-1].T
+    buf[:, pad + n :] = x[n - 1 - pad : n - 1][::-1].T
     y = sosfilt(coeffs.sos, buf)
-    del buf  # sosfilt filtered its own copy: free this one before the next
-    if zero_phase:
-        y = sosfilt(coeffs.sos, y[:, ::-1])[:, ::-1][:, pad : pad + n]
-    return y.T
+    del buf, body  # sosfilt filtered its own copy: free this one before the next
+    return sosfilt(coeffs.sos, y[:, ::-1])[:, ::-1][:, pad : pad + n].T
 
 
 def filter_offline(rec: Recording, coeffs: FilterCoefficients) -> Recording:
@@ -222,23 +215,22 @@ def windows_from_recording(
     same errors in the same order.
 
     Every check (_checked_trials', then the layout's) runs before the
-    filter. The recording is band-passed in channel-major layout (see
-    _bandpass), the causal pass only up to the last trial's end; the trial
-    rows alone are copied back to time-major, into the one buffer the
-    WindowSet holds, and CAR runs on that buffer in place.
+    filter: _bandpass, or one filter_causal_step call from zero state up to
+    the last trial's end. The trial rows alone are copied to time-major,
+    into the one buffer the WindowSet holds, and CAR runs on it in place.
     """
     coeffs, trials = _checked_trials(rec, params)
     layout = _window_layout(trials, params.win_len_s, params.step_s)
-    end = trials[-1].start_sample + trials[-1].n_samples
-    x = rec.samples[:end] if causal else rec.samples
-    filtered = _bandpass(x, coeffs, zero_phase=not causal)
+    if causal:
+        end = trials[-1].start_sample + trials[-1].n_samples
+        filtered, _ = filter_causal_step(
+            coeffs, causal_filter_state(coeffs, rec.n_channels), rec.samples[:end])
+    else:
+        filtered = _bandpass(rec.samples, coeffs)
     signal = np.empty((sum(t.n_samples for t in trials), rec.n_channels))
-    offset = 0
-    for t in trials:
-        _copy_rows(signal[offset : offset + t.n_samples],
-                   filtered[t.start_sample : t.start_sample + t.n_samples])
-        offset += t.n_samples
-    del filtered  # free the channel-major result before CAR's row means
+    np.concatenate([filtered[t.start_sample : t.start_sample + t.n_samples]
+                    for t in trials], out=signal)
+    del filtered  # free the filtered recording before CAR's row means
     if params.car:
         _subtract_row_means(signal)
     return WindowSet(signal=signal, **layout)

@@ -482,11 +482,13 @@ PCA_PAYLOAD_NAME = "pca.f64le"
 
 def save_decoder(decoder: Decoder, path) -> None:
     """Write a decoder directory: decoder.json, and with a PCA stage the
-    components in pca.f64le (see load_decoder)."""
+    components in pca.f64le, else remove one left there (see load_decoder)."""
     path = store.make_dir(path)
     pca, clf = decoder.pipeline.pca, decoder.clf
     pca_doc = None
-    if pca is not None:
+    if pca is None:
+        store.remove(path / PCA_PAYLOAD_NAME)
+    else:
         pca_doc = {
             "mean": pca.mean.tolist(),
             "explained_variance_ratio": pca.explained_variance_ratio.tolist(),

@@ -80,6 +80,14 @@ def write_f64(path, array) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def remove(path) -> None:
+    """Delete the file at ``path``, if there is one."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot remove {path}: {exc}") from exc
+
+
 def _read(path: Path) -> bytes:
     if not path.is_file():
         raise MissingFile(f"missing {path}")

@@ -642,6 +642,25 @@ def test_config_int_stands_for_float(cli_env, tmp_path, capsys):
     assert doc["trials"]["threshold"] == 1.0
 
 
+@pytest.mark.parametrize("command, flags, settings", [
+    ("eval-trials", ["--theta", "1"], {"theta": 1}),
+    ("grid-search", ["--thresholds", "1,0.5"], {"thresholds": [1, 0.5]}),
+], ids=["scalar", "list"])
+def test_config_int_and_flag_give_equal_reports(cli_env, tmp_path, capsys, command,
+                                                flags, settings):
+    # an int from the config file stands for the float the flag gives, in
+    # the report's config and its hash too
+    _, study, decoder = cli_env
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings), encoding="utf-8")
+    argv = [command, "--decoder", str(decoder), "--session", str(study / "online1")]
+    outs = []
+    for extra in (flags, ["--config", str(cfg_path)]):
+        assert main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("command", ["grid-search", "repro"])
 def test_config_unknown_objective_exits_1(cli_env, tmp_path, capsys, command):
     _, study, decoder = cli_env

@@ -161,7 +161,7 @@ def test_offline_zero_phase_padding_semantics():
     # the rule: 72 samples of even reflection each side, two zero-state
     # passes; the windowing paths' channel-major core gives the same bits
     assert _pad_len(coeffs, x.shape[0]) == 72
-    assert np.array_equal(_bandpass(x, coeffs, zero_phase=True), ref)
+    assert np.array_equal(_bandpass(x, coeffs), ref)
     # sosfiltfilt seeds its passes differently, but initial conditions decay:
     # deep in the interior the two must agree
     full = signal.sosfiltfilt(coeffs.sos, x, axis=0, padtype="even", padlen=72)
@@ -174,7 +174,7 @@ def test_offline_padding_clips_to_one_less_than_the_length(n):
     coeffs = design_bandpass(BAND)
     ref = filter_offline(Recording(x, FS, ("a", "b", "c"), ()), coeffs).samples
     assert _pad_len(coeffs, n) == n - 1  # below the 72 samples the rule asks for
-    assert np.array_equal(_bandpass(x, coeffs, zero_phase=True), ref)
+    assert np.array_equal(_bandpass(x, coeffs), ref)
 
 
 def test_forward_matches_sosfilt():
@@ -184,7 +184,6 @@ def test_forward_matches_sosfilt():
     coeffs = design_bandpass(BAND)
     ref = filter_forward(rec, coeffs).samples
     assert np.array_equal(ref, signal.sosfilt(coeffs.sos, x, axis=0))
-    assert np.array_equal(_bandpass(x, coeffs, zero_phase=False), ref)
 
 
 def test_chunked_causal_filter_is_bit_identical():
@@ -533,11 +532,11 @@ def test_preprocess_car_off():
 @pytest.mark.parametrize("causal", [False, True])
 def test_preprocess_shares_no_code_with_the_windowing_paths(monkeypatch, causal):
     # the reference the windowing paths are checked against must not run
-    # on their filter core, their layout copies or their in-place CAR
+    # on their zero-phase core, their causal step or their in-place CAR
     def refuse(*args, **kwargs):
         raise AssertionError("the reference called a windowing-path helper")
 
-    for name in ("_bandpass", "_copy_rows", "_subtract_row_means"):
+    for name in ("_bandpass", "filter_causal_step", "_subtract_row_means"):
         monkeypatch.setattr(dsp, name, refuse)
     rec = _session_like_recording()
     out = preprocess(rec, PreprocessParams(car=True), causal=causal)
@@ -642,9 +641,30 @@ def test_windows_from_recording_peak_memory(causal):
     finally:
         tracemalloc.stop()
     assert ws.n_windows == 12 * 63
-    # the channel-major copy, sosfilt's copy of it, then the trial rows:
-    # never more than about two recordings' worth of samples at once
-    assert peak <= 2.2 * rec.samples.nbytes
+    # zero-phase: the channel-major copy, sosfilt's copy of it, then the
+    # trial rows, never more than about two recordings' worth of samples at
+    # once; causal: sosfilt's channel-major copy alone, then the trial rows
+    assert peak <= (1.9 if causal else 2.2) * rec.samples.nbytes
+
+
+def test_causal_windows_take_the_streams_filter_step(monkeypatch):
+    # the batch causal replay filters in one call of the step the stream
+    # runs chunk by chunk, never in the zero-phase core
+    calls = []
+
+    def step(*args):
+        calls.append(args[2].shape)
+        return filter_causal_step(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the causal path called the zero-phase core")
+
+    monkeypatch.setattr(dsp, "filter_causal_step", step)
+    monkeypatch.setattr(dsp, "_bandpass", refuse)
+    rec = _session_like_recording()
+    ws = windows_from_recording(rec, PreprocessParams(), causal=True)
+    assert ws.n_windows == 51
+    assert calls == [(2400 + 200 + 64 + 1024, 5)]  # up to the last trial's end
 
 
 def test_windows_from_recording_counts():

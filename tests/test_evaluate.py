@@ -14,6 +14,7 @@ from mi_decode.dsp import PreprocessParams, WindowSet, windows_from_recording
 from mi_decode.errors import (
     BadK,
     DimensionMismatch,
+    IoFailure,
     LayoutMismatch,
     MalformedMeta,
     MissingFile,
@@ -454,6 +455,25 @@ def test_psd_decoder_round_trip(small_offline, small_online, tmp_path):
     old = load_decoder(tmp_path)
     assert old.pipeline.config == back.pipeline.config
     assert np.array_equal(old.predict_windows(ws), decoder.predict_windows(ws))
+
+
+def test_saving_without_pca_removes_an_earlier_payload(small_offline, small_online,
+                                                       tmp_path):
+    ws = windows_from_recording(small_online.recording, PreprocessParams())
+    save_decoder(train_decoder([small_offline], FeatureConfig(mode="psd+pca", k=12)),
+                 tmp_path)
+    assert (tmp_path / PCA_PAYLOAD_NAME).is_file()
+    decoder = train_decoder([small_offline], FeatureConfig(mode="psd"))
+    save_decoder(decoder, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [DECODER_META_NAME]
+    assert np.array_equal(load_decoder(tmp_path).predict_windows(ws),
+                          decoder.predict_windows(ws))
+
+
+def test_a_payload_that_cannot_be_removed_is_io_failure(psd_decoder, tmp_path):
+    (tmp_path / PCA_PAYLOAD_NAME).mkdir()  # unlink refuses a directory
+    with pytest.raises(IoFailure, match="cannot remove"):
+        save_decoder(psd_decoder, tmp_path)
 
 
 # --- folded PCA scoring -----------------------------------------------------
