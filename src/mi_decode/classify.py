@@ -11,19 +11,19 @@ when the score is strictly positive; a score of 0 ties to Left. This
 module reads and writes no file: a model's kind, weights and bias are the
 ``classifier`` section of a decoder's decoder.json (``evaluate.save_decoder``).
 
-A model fitted on PCA projections ``z = (x - mean) @ components.T`` is
-linear in the raw row x too, so ``LinearClassifier.fold`` turns it into one
-raw-row score ``x . w_eff + b_eff`` with ``w_eff = components.T @ weights``
-and ``b_eff = bias - mean . w_eff``: one d-term dot per row instead of a
-(d x k) projection. The folded score rounds differently from the two-step
-one, so ``FoldedScore.scores`` also says, row by row, whether its sign is
-certain to be the sign of the two-step score: it is when |score| exceeds a
-bound on the rounding error of both paths, built from Higham's gamma_n
-dot-product bound (*Accuracy and Stability of Numerical Algorithms*, 2nd
-ed., 2002, §3.1). That bound holds for the terms summed in any order, so
-the certificate does not depend on how a path groups its sums: a score
-summed block by block from a window's samples is covered like one d-term
-dot. The decoder rescores every other row on the two-step path.
+``LinearClassifier.fold`` turns a model into the one raw-row score
+``x . w_eff + b_eff`` a decoder votes with in every feature mode. Fitted on
+PCA projections ``z = (x - mean) @ components.T``, it is linear in the raw
+row x too: ``w_eff = components.T @ weights``, ``b_eff = bias - mean .
+w_eff``, one d-term dot per row instead of a (d x k) projection; without
+PCA, ``w_eff = weights`` and ``b_eff = bias``. A batch, a lone row and the
+two-step path round differently, so ``FoldedScore.scores`` also says, row
+by row, whether its sign is certain to be the exact score's: it is when
+|score| exceeds a bound on the rounding error of both paths, built from
+Higham's gamma_n dot-product bound (*Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, §3.1). That bound holds for the terms summed
+in any order, so a score summed block by block, or by a batched product,
+is covered like one d-term dot. The decoder rescores every other row alone.
 """
 
 from __future__ import annotations
@@ -49,15 +49,15 @@ def _gamma(n: int) -> float:
 
 @dataclass(frozen=True)
 class FoldedScore:
-    """A classifier on PCA projections, folded into one score on raw rows.
+    """A classifier, with any PCA stage folded in, as one score on raw rows.
 
     ``bound(x) = slope * ||x||_2 + offset`` covers |folded - exact| +
     |two-step - exact| for every raw row x, whatever order either path sums
     its terms in, so a folded score beyond it has the two-step sign.
     """
 
-    weights: np.ndarray  # (d,) w_eff = components.T @ w
-    bias: float  # b_eff = b - mean . w_eff
+    weights: np.ndarray  # (d,) w_eff = components.T @ w, or w
+    bias: float  # b_eff = b - mean . w_eff, or b
     slope: float
     offset: float
 
@@ -101,8 +101,11 @@ class LinearClassifier:
         """Labels as ClassLabel values (0=Left, 1=Right)."""
         return (self.score(X) > 0).astype(np.int64)
 
-    def fold(self, mean: np.ndarray, components: np.ndarray) -> FoldedScore:
-        """This model on ``(x - mean) @ components.T``, as one raw-row score.
+    def fold(self, mean: np.ndarray | None = None,
+             components: np.ndarray | None = None) -> FoldedScore:
+        """One raw-row score of this model on ``(x - mean) @ components.T``,
+        or on x itself as ``fold()``, where each path (batched or one row)
+        is one (d+1)-term sum off by at most gamma_{d+1} (||x|| ||w|| + |b|).
 
         With a = |components|.T @ |w| and k, d the shape of components, the
         two-step path (x - mean, the k-term projection, the k-term score
@@ -120,6 +123,11 @@ class LinearClassifier:
         Each quantity in the bound is itself computed with a relative error
         far below 1e-9, which doubling the bound covers.
         """
+        if components is None:
+            g = 4.0 * _gamma(self.n_features + 1)  # two paths, doubled
+            return FoldedScore(weights=self.weights, bias=self.bias,
+                               slope=g * np.linalg.norm(self.weights),
+                               offset=g * abs(self.bias))
         k, d = components.shape
         if k != self.n_features:
             raise DimensionMismatch(

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, sosfilt
 
 from .errors import (
@@ -406,12 +407,7 @@ def _channel_major_runs(span: np.ndarray, length: int) -> np.ndarray:
     transformed along its last axis.
     """
     by_channel = np.ascontiguousarray(span.T)
-    n_channels, n_samples = by_channel.shape
-    s_ch, s_time = by_channel.strides
-    return np.ndarray(
-        (n_samples - length + 1, n_channels, length), by_channel.dtype,
-        buffer=by_channel, strides=(s_time, s_ch, s_time),
-    )
+    return sliding_window_view(by_channel, length, axis=1).transpose(1, 0, 2)
 
 
 def _start_range(starts: np.ndarray) -> tuple[int, int]:

@@ -152,10 +152,10 @@ class Decoder:
         return self.pipeline.transform_raw(raw)
 
     @functools.cached_property
-    def _folded(self) -> FoldedScore | None:
-        """PCA and classifier as one raw-row score; derived, never saved."""
+    def _folded(self) -> FoldedScore:
+        """The classifier, any PCA folded in, as one raw-row score; never saved."""
         pca = self.pipeline.pca
-        return None if pca is None else self.clf.fold(pca.mean, pca.components)
+        return self.clf.fold() if pca is None else self.clf.fold(pca.mean, pca.components)
 
     @functools.cached_property
     def _block_weights(self) -> dict:
@@ -179,8 +179,8 @@ class Decoder:
     def predict_windows(self, ws: WindowSet) -> np.ndarray:
         """Labels (0=Left, 1=Right) equal to ``clf.predict(transform(ws))``.
 
-        With a PCA stage, each raw feature row x is scored once, as
-        ``x . w_eff + b_eff`` (see ``LinearClassifier.fold``); in ``pca``
+        Every raw feature row x is scored once, as ``x . w_eff + b_eff``
+        (see ``LinearClassifier.fold``; w_eff = w without PCA); in ``pca``
         mode the rows are never built, and the dots are summed from blocks
         of the signal that overlapping windows share. A row keeps that sign
         when |score| exceeds the rounding bound of both paths, which makes
@@ -196,8 +196,6 @@ class Decoder:
 
     def _predict_rows(self, X: np.ndarray) -> np.ndarray:
         """``predict_windows`` of raw feature rows X (see there)."""
-        if self._folded is None:
-            return self.clf.predict(X)
         return self._votes(*self._folded.scores(X), lambda i: X[i : i + 1])
 
     def _votes(self, s: np.ndarray, certified: np.ndarray, row) -> np.ndarray:

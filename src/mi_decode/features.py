@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 from scipy.signal import sosfreqz
 
@@ -487,11 +488,7 @@ def _window_dots(signal: np.ndarray, starts: np.ndarray, win_len: int,
     if len(starts) == 1:  # a streamed window shares nothing: skip the plan
         return dot_each(starts)
     # (start, block) view of every block the signal holds, as rows
-    s_time, s_ch = signal.strides
-    blocks = np.ndarray(
-        (signal.shape[0] - block + 1, block_size), signal.dtype,
-        buffer=signal, strides=(s_time, s_ch),
-    )
+    blocks = sliding_window_view(signal.reshape(-1), block_size)[:: signal.shape[1]]
     positions = np.arange(n_blocks)
     parts = [(np.empty(0), np.empty(0))]  # no windows: empty arrays
     for lo in range(0, len(starts), CHUNK_WINDOWS):

@@ -48,6 +48,12 @@ def small_pca_decoder(small_offline):
     return train_decoder([small_offline], FeatureConfig(mode="pca", k=8))
 
 
+@pytest.fixture(scope="session")
+def small_psd_decoder(small_offline):
+    """Welch features straight into LDA: no PCA stage to fold."""
+    return train_decoder([small_offline], FeatureConfig(mode="psd"))
+
+
 def pca_inverse_transform(t, Z):
     """Test oracle: k-component projections mapped back to raw rows."""
     return np.asarray(Z, dtype=np.float64) @ t.components + t.mean

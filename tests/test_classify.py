@@ -234,12 +234,32 @@ def _exact_two_step(clf, mean, components, x):
     return sum(Fraction(float(w)) * zi for w, zi in zip(clf.weights, z)) + Fraction(clf.bias)
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["centered", "far-mean"])
+@pytest.mark.parametrize("offset", [0.0, 1e6, None],
+                         ids=["centered", "far-mean", "no-projection"])
 def test_fold_bound_covers_both_paths(offset):
     # rows near a mean far from 0 make x . w_eff and b_eff cancel, so the
     # folded error grows with |x| and |mean|, not with |x - mean|
-    rng = np.random.default_rng(4301 + int(offset))
+    rng = np.random.default_rng(4301 + int(offset or 0))
     k, d, n = 4, 30, 12
+    if offset is None:
+        # fold(): the paths are a batched product and a one-row product,
+        # which sum each row in other orders; the bias puts row 0 near 0
+        X = 1e3 + rng.standard_normal((n, d))
+        w = rng.standard_normal(d)
+        clf = LinearClassifier(kind="lda", weights=w, bias=float(-(X[0] @ w)))
+        folded = clf.fold()
+        s_batch, certified = folded.scores(X)
+        s_rows = np.array([folded.scores(X[i : i + 1])[0][0] for i in range(n)])
+        assert np.array_equal(s_batch, clf.score(X)) and np.any(s_batch != s_rows)
+        bound = folded.slope * np.linalg.norm(X, axis=1) + folded.offset
+        for i in range(n):
+            exact = sum(Fraction(float(a)) * Fraction(float(b)) for a, b in zip(X[i], w))
+            exact += Fraction(clf.bias)
+            errs = (abs(Fraction(float(s)) - exact) for s in (s_batch[i], s_rows[i]))
+            assert sum(errs) <= Fraction(float(bound[i]))
+        assert not certified[0] and certified[1:].all()
+        assert np.array_equal((s_batch > 0)[certified], (s_rows > 0)[certified])
+        return
     components = np.linalg.qr(rng.standard_normal((d, k)))[0].T
     mean = offset + rng.standard_normal(d)
     X = mean + 1e-3 * rng.standard_normal((n, d))
@@ -282,3 +302,5 @@ def test_fold_dimension_checks():
         clf.fold(np.zeros(6), np.zeros((4, 6)))
     with pytest.raises(DimensionMismatch):
         clf.fold(np.zeros(6), np.zeros((3, 6))).scores(np.zeros((2, 5)))
+    with pytest.raises(DimensionMismatch, match="columns"):
+        clf.fold().scores(np.zeros((2, 4)))

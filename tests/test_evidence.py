@@ -15,6 +15,7 @@ from mi_decode.dsp import (
     PreprocessParams,
     Trial,
     extract_trials,
+    stream_windows,
     window_trials,
     windows_from_recording,
 )
@@ -446,11 +447,13 @@ def stream_session():
     return generate_session(small_spec(210), SessionKind.Online1)
 
 
-def test_stream_report_equals_batch_causal_replay(small_decoder, stream_session):
+@pytest.mark.parametrize("decoder_name", ["small_decoder", "small_psd_decoder"])
+def test_stream_report_equals_batch_causal_replay(decoder_name, stream_session, request):
+    decoder = request.getfixturevalue(decoder_name)
     rec = stream_session.recording
     cfg = EvidenceConfig(0.3, 0.1)
-    streamed = stream_to_report(small_decoder, rec, cfg)
-    batch = replay_session(small_decoder, rec, cfg, causal=True)
+    streamed = stream_to_report(decoder, rec, cfg)
+    batch = replay_session(decoder, rec, cfg, causal=True)
     assert streamed == batch
 
 
@@ -461,17 +464,42 @@ def test_pca_stream_equals_batch_causal_replay(small_pca_decoder, stream_session
     assert streamed == replay_session(small_pca_decoder, rec, cfg, causal=True)
 
 
-def test_stream_equals_batch_when_every_window_falls_back(small_pca_decoder,
-                                                          stream_session):
+@pytest.mark.parametrize("decoder_name", ["small_pca_decoder", "small_psd_decoder"])
+def test_stream_equals_batch_when_every_window_falls_back(decoder_name, stream_session,
+                                                          request):
     # a certificate that never holds sends every window, batched or
     # streamed, through the one-row two-step path
-    decoder = replace(small_pca_decoder)
-    decoder.__dict__["_folded"] = replace(small_pca_decoder._folded, offset=np.inf)
+    original = request.getfixturevalue(decoder_name)
+    decoder = replace(original)
+    decoder.__dict__["_folded"] = replace(original._folded, offset=np.inf)
     rec = stream_session.recording
     cfg = EvidenceConfig(0.3, 0.1)
     streamed = stream_to_report(decoder, rec, cfg)
     assert streamed == replay_session(decoder, rec, cfg, causal=True)
-    assert streamed == stream_to_report(small_pca_decoder, rec, cfg)
+    assert streamed == stream_to_report(original, rec, cfg)
+
+
+@pytest.mark.parametrize("decoder_name", ["small_psd_decoder", "small_decoder",
+                                          "small_pca_decoder"],
+                         ids=["psd", "psd+pca", "pca"])
+def test_a_zero_one_row_score_gets_one_vote_batched_and_streamed(decoder_name,
+                                                                 stream_session, request):
+    # a batch product sums a row in another order than a one-row product;
+    # with the bias set so that a window's one-row score is exactly 0 while
+    # its batch score is above 0, a vote taken from either raw score's sign
+    # would differ between the batch and the stream
+    decoder = request.getfixturevalue(decoder_name)
+    ws = next(stream_windows(stream_session.recording, decoder.params))
+    w = decoder.clf.weights
+    batch = decoder.transform(ws) @ w
+    one_row = np.array([(decoder.transform(ws[i : i + 1]) @ w)[0]
+                        for i in range(ws.n_windows)])
+    above = np.flatnonzero(batch > one_row)
+    assert len(above) > 0
+    i = above[0]
+    edge = replace(decoder, clf=replace(decoder.clf, bias=float(-one_row[i])))
+    assert edge.clf.score(edge.transform(ws[i : i + 1]))[0] == 0.0
+    assert edge.predict_windows(ws).tolist() == list(edge.stream_votes(ws))
 
 
 def test_stream_event_invariants(small_decoder, stream_session):
@@ -494,7 +522,8 @@ def test_stream_event_invariants(small_decoder, stream_session):
         assert tuple(e.evidence for e in evs) == out.trajectory
 
 
-@pytest.mark.parametrize("decoder_name", ["small_decoder", "small_pca_decoder"])
+@pytest.mark.parametrize("decoder_name",
+                         ["small_decoder", "small_pca_decoder", "small_psd_decoder"])
 def test_final_stream_event_carries_the_batch_outcome(decoder_name, stream_session, request):
     decoder = request.getfixturevalue(decoder_name)
     rec = stream_session.recording
