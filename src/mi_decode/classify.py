@@ -156,6 +156,8 @@ def _class_rows(X: np.ndarray, y: np.ndarray):
     y = np.asarray(y).reshape(-1)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"X {X.shape} does not match y {y.shape}")
+    if X.shape[1] == 0:
+        raise DimensionMismatch("X has no feature columns")
     left = np.flatnonzero(y == ClassLabel.Left.value)
     right = np.flatnonzero(y == ClassLabel.Right.value)
     if len(left) == 0 or len(right) == 0:

@@ -12,9 +12,10 @@ in one call, stream_windows in arrival order. windows_from_recording
 filters zero-phase in _bandpass, on a channel-major copy, and copies the
 trial rows alone into its WindowSet's one buffer, for CAR in place.
 stream_windows cuts each trial with window_trials, whose checks the batch
-path shares, so a bad trial is refused when it arrives. Windowing copies
-no window: window i of a WindowSet is signal[starts[i] : starts[i] +
-win_len], held once.
+path shares, so a bad trial is refused when it arrives; a decoder scores
+each window of that trial's set as a raw row, never as a one-window set.
+Windowing copies no window: window i of a WindowSet is signal[starts[i] :
+starts[i] + win_len], held once.
 """
 
 from __future__ import annotations
@@ -329,7 +330,8 @@ class WindowSet:
     starts may come in any order. labels, trial_index and run_index are
     parallel length-n_windows arrays. The windows property builds the
     (n_windows, win_len, n_channels) stack as a copy on request; features
-    read the signal directly.
+    read the signal directly. A streamed trial's set is scored one raw row
+    at a time (evaluate.Decoder.stream_votes), never cut into one-window sets.
     """
 
     signal: np.ndarray  # (n_samples, n_channels) float64, C order
@@ -346,12 +348,10 @@ class WindowSet:
         starts = np.asarray(self.starts, dtype=np.int64).reshape(-1)
         if signal.ndim != 2:
             raise ValueError(f"signal must be 2-D, got shape {signal.shape}")
-        if len(starts):
-            first, last = _start_range(starts)
-            if first < 0 or last + self.win_len > signal.shape[0]:
-                raise ValueError(
-                    f"window starts must lie in [0, {signal.shape[0] - self.win_len}]"
-                )
+        if len(starts) and (starts.min() < 0 or starts.max() + self.win_len > signal.shape[0]):
+            raise ValueError(
+                f"window starts must lie in [0, {signal.shape[0] - self.win_len}]"
+            )
         object.__setattr__(self, "signal", signal)
         object.__setattr__(self, "starts", starts)
 
@@ -379,7 +379,7 @@ class WindowSet:
         n, w = self.n_windows, self.win_len
         if n == 0:
             return np.empty((0, self.n_channels * w))
-        lo, last = _start_range(self.starts)
+        lo, last = self.starts.min(), self.starts.max()
         runs = _channel_major_runs(self.signal[lo : last + w], w)
         return runs[self.starts - lo].reshape(n, -1)
 
@@ -408,16 +408,6 @@ def _channel_major_runs(span: np.ndarray, length: int) -> np.ndarray:
     """
     by_channel = np.ascontiguousarray(span.T)
     return sliding_window_view(by_channel, length, axis=1).transpose(1, 0, 2)
-
-
-def _start_range(starts: np.ndarray) -> tuple[int, int]:
-    """Smallest and largest of a non-empty array of window starts.
-
-    Python's min and max: two numpy reductions cost the one-window sets
-    that stream_replay slices for every window about 5 microseconds.
-    """
-    values = starts.tolist()
-    return min(values), max(values)
 
 
 def _samples_per(value_s: float, fs: float, what: str) -> int:

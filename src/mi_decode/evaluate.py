@@ -19,7 +19,7 @@ import numpy as np
 
 from .classify import FIT_FUNCTIONS, FoldedScore, LinearClassifier, fit_classifier
 from . import store
-from .dsp import PreprocessParams, WindowSet, windows_from_recording
+from .dsp import PreprocessParams, WindowSet, _channel_major_runs, windows_from_recording
 from .errors import BadK, DimensionMismatch, LayoutMismatch, MalformedMeta, TooFewRuns
 from .features import (
     FeatureMatrix,
@@ -157,11 +157,6 @@ class Decoder:
         pca = self.pipeline.pca
         return self.clf.fold() if pca is None else self.clf.fold(pca.mean, pca.components)
 
-    @functools.cached_property
-    def _block_weights(self) -> dict:
-        """w_eff in the time-major block layout, per (win_len, block)."""
-        return {}
-
     def _folded_window_scores(self, ws: WindowSet) -> tuple[np.ndarray, np.ndarray]:
         """``_folded.scores`` of the flattened windows, summed block by block
         from the signal (see ``features._window_dots``)."""
@@ -170,11 +165,9 @@ class Decoder:
             raise DimensionMismatch(
                 f"windows of {ws.n_channels} x {ws.win_len} samples, model expects {d}"
             )
-        layout = (ws.win_len, math.gcd(ws.win_len, ws.win_step))
-        if layout not in self._block_weights:
-            self._block_weights[layout] = _time_major_blocks(self._folded.weights, *layout)
-        dots = _window_dots(ws.signal, ws.starts, ws.win_len, self._block_weights[layout])
-        return self._folded._from_dots(*dots)
+        blocks = _time_major_blocks(self._folded.weights, ws.win_len,
+                                    math.gcd(ws.win_len, ws.win_step))
+        return self._folded._from_dots(*_window_dots(ws.signal, ws.starts, ws.win_len, blocks))
 
     def predict_windows(self, ws: WindowSet) -> np.ndarray:
         """Labels (0=Left, 1=Right) equal to ``clf.predict(transform(ws))``.
@@ -210,19 +203,21 @@ class Decoder:
         """The votes of ``predict_windows(ws)`` one window at a time, each
         computed only when the caller asks for it.
 
-        Meant for one trial's windows as they stream in. In ``psd`` modes
-        the rows come from ``features.psd_rows``, which transforms each
-        Welch segment of the trial once; in ``pca`` mode each window is
-        scored alone from its samples.
+        Meant for one trial's windows as they stream in: each window's raw
+        feature row is built alone and scored by ``_predict_rows``. In
+        ``psd`` modes ``features.psd_rows`` transforms each Welch segment of
+        the trial once; in ``pca`` mode the trial is transposed to
+        channel-major once, and a row has the bits of ``WindowSet.flattened``.
         """
         config = self.pipeline.config
         if config.uses_psd:
             bins = passband_bins(self.params.band_spec(ws.fs), config.welch)
-            for row in psd_rows(ws, config.welch, bins):
-                yield int(self._predict_rows(row)[0])
+            rows = psd_rows(ws, config.welch, bins)
         else:
-            for w in range(ws.n_windows):
-                yield int(self.predict_windows(ws[w : w + 1])[0])
+            runs = _channel_major_runs(ws.signal, ws.win_len)
+            rows = (runs[s].reshape(1, -1) for s in ws.starts.tolist())
+        for row in rows:
+            yield int(self._predict_rows(row)[0])
 
 
 @dataclass(frozen=True)
@@ -347,6 +342,8 @@ def pca_sweep(
     ks = sorted(set(int(k) for k in ks))
     if not ks:
         raise BadK("sweep needs at least one k")
+    if ks[0] < 1:
+        raise BadK(f"sweep needs every k >= 1, got {ks[0]}")
     if not config.uses_pca:
         raise BadK(f"mode {config.mode!r} has no PCA stage to sweep")
     ws = windows_from_recording(session.recording, params)

@@ -455,8 +455,8 @@ def _time_major_blocks(weights: np.ndarray, win_len: int, block: int) -> np.ndar
 # multiply-adds of one dot per window, at about a fifth of the time each
 # (on a 2-core VM, 1.9 us per window at the default 32-sample step against
 # 8 us for a dot per window). Windows that share few blocks (a lone
-# streamed window, scattered starts, a step whose gcd with the window
-# length is 1) are scored one dot each, which takes the same 8 us.
+# window, scattered starts, a step whose gcd with the window length is 1)
+# are scored one dot each, which takes the same 8 us.
 SHARED_BLOCKS_PER_WINDOW = 4
 
 
@@ -476,17 +476,11 @@ def _window_dots(signal: np.ndarray, starts: np.ndarray, win_len: int,
     dot per window instead, of its samples, which are contiguous in the
     signal. Either way the sums run in another order than a flattened
     row's dot, which a bound built for any summation order does not notice.
+    Only batches come here: a streamed window is scored as its flattened row.
     """
     n_blocks, block_size = block_weights.shape
     block = win_len // n_blocks
     flat_weights = block_weights.reshape(-1)
-
-    def dot_each(st):
-        rows = [signal[s : s + win_len].reshape(-1) for s in st.tolist()]
-        return np.array([x @ flat_weights for x in rows]), np.array([x @ x for x in rows])
-
-    if len(starts) == 1:  # a streamed window shares nothing: skip the plan
-        return dot_each(starts)
     # (start, block) view of every block the signal holds, as rows
     blocks = sliding_window_view(signal.reshape(-1), block_size)[:: signal.shape[1]]
     positions = np.arange(n_blocks)
@@ -500,7 +494,9 @@ def _window_dots(signal: np.ndarray, starts: np.ndarray, win_len: int,
             parts.append((partial[index, positions].sum(axis=1),
                           np.einsum("ij,ij->i", chunk, chunk)[index].sum(axis=1)))
         else:
-            parts.append(dot_each(st))
+            rows = [signal[s : s + win_len].reshape(-1) for s in st.tolist()]
+            parts.append((np.array([x @ flat_weights for x in rows]),
+                          np.array([x @ x for x in rows])))
     dots, sq_norms = zip(*parts)
     return np.concatenate(dots), np.concatenate(sq_norms)
 

@@ -224,6 +224,13 @@ def test_dimension_checks():
         clf.score(np.zeros((2, 7)))
 
 
+@pytest.mark.parametrize("fit", [lda_fit, centroid_fit])
+def test_rows_without_feature_columns_rejected(fit):
+    # unchecked, lda_fit reads s[0] of the empty spectrum of a 0 x 0 scatter
+    with pytest.raises(DimensionMismatch, match="no feature columns"):
+        fit(np.zeros((4, 0)), np.array([L, R, L, R]))
+
+
 # --- PCA folded into the score ----------------------------------------------
 
 

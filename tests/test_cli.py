@@ -884,6 +884,12 @@ def test_pca_sweep_empty_ks_exits_1(cli_env, capsys):
     assert err == ["error: BadK: sweep needs at least one k"]
 
 
+def test_pca_sweep_k_zero_exits_1(cli_env, capsys):
+    _, study, _ = cli_env
+    rc = main(["pca-sweep", "--session", str(study / "offline"), "--ks", "0,8"])
+    _single_error(capsys, rc, "BadK")
+
+
 # --- unwritable output and non-UTF-8 input ----------------------------------
 
 

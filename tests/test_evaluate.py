@@ -283,6 +283,18 @@ def test_pca_sweep_rejects_bad_input(small_offline):
         pca_sweep(small_offline, ks=(8,), config=FeatureConfig(mode="psd"))
 
 
+@pytest.mark.parametrize("ks", [(0, 8), (-3, 8)])
+def test_pca_sweep_refuses_k_below_1_before_windowing(small_offline, monkeypatch, ks):
+    # unchecked, k=0 would fit LDA on no columns and k=-3 every fold on all
+    # but 3 columns, before any report is built
+    def no_windows(*args, **kwargs):
+        raise AssertionError("windowed before checking ks")
+
+    monkeypatch.setattr(evaluate, "windows_from_recording", no_windows)
+    with pytest.raises(BadK, match=f"got {min(ks)}"):
+        pca_sweep(small_offline, ks=ks, config=SMALL_FEATURES)
+
+
 # --- decoder training -------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from mi_decode import evidence
 from mi_decode.dsp import (
     PreprocessParams,
     Trial,
+    WindowSet,
     extract_trials,
     stream_windows,
     window_trials,
@@ -569,7 +570,11 @@ def test_stream_scores_no_window_after_a_decision(small_decoder, stream_session)
     assert len(events) < all_windows
 
 
-def test_stream_scores_the_batch_feature_rows(small_decoder, stream_session, monkeypatch):
+@pytest.mark.parametrize("decoder_name", ["small_decoder", "small_pca_decoder"],
+                         ids=["psd+pca", "pca"])
+def test_stream_scores_the_batch_feature_rows(decoder_name, stream_session, monkeypatch,
+                                              request):
+    decoder = request.getfixturevalue(decoder_name)
     scored = []
     predict_rows = Decoder._predict_rows
 
@@ -577,13 +582,19 @@ def test_stream_scores_the_batch_feature_rows(small_decoder, stream_session, mon
         scored.append(X.copy())
         return predict_rows(self, X)
 
+    def batch_path(*args):
+        raise AssertionError("a streamed window went through the batch path")
+
     monkeypatch.setattr(Decoder, "_predict_rows", spy)
+    # no streamed window is cut into a one-window set or predicted as a batch
+    monkeypatch.setattr(Decoder, "predict_windows", batch_path)
+    monkeypatch.setattr(WindowSet, "__getitem__", batch_path)
     rec = stream_session.recording
     # every trial times out, so every window of the session is scored
-    events = list(stream_replay(small_decoder, rec, EvidenceConfig(1.0, 0.01)))
+    events = list(stream_replay(decoder, rec, EvidenceConfig(1.0, 0.01)))
     monkeypatch.undo()
-    ws = windows_from_recording(rec, small_decoder.params, causal=True)
-    batch = raw_feature_matrix(ws, small_decoder.pipeline.config, small_decoder.params).X
+    ws = windows_from_recording(rec, decoder.params, causal=True)
+    batch = raw_feature_matrix(ws, decoder.pipeline.config, decoder.params).X
     assert len(scored) == len(events) == batch.shape[0]
     assert np.array_equal(np.vstack(scored), batch)
 
