@@ -10,7 +10,6 @@ accuracy. Any PCA is refit inside each fold on the training runs only.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -26,14 +25,13 @@ from .features import (
     PcaTransform,
     WelchSpec,
     _project_in_place,
-    _time_major_blocks,
-    _window_dots,
     flatten_windows,
     passband_bins,
     pca_fit_transform,
     pca_transform,
     psd_features,
     psd_rows,
+    window_dots,
 )
 from .session import Recording, Session
 from .version import __version__
@@ -157,34 +155,24 @@ class Decoder:
         pca = self.pipeline.pca
         return self.clf.fold() if pca is None else self.clf.fold(pca.mean, pca.components)
 
-    def _folded_window_scores(self, ws: WindowSet) -> tuple[np.ndarray, np.ndarray]:
-        """``_folded.scores`` of the flattened windows, summed block by block
-        from the signal (see ``features._window_dots``)."""
-        d = self._folded.weights.shape[0]
-        if ws.n_channels * ws.win_len != d:
-            raise DimensionMismatch(
-                f"windows of {ws.n_channels} x {ws.win_len} samples, model expects {d}"
-            )
-        blocks = _time_major_blocks(self._folded.weights, ws.win_len,
-                                    math.gcd(ws.win_len, ws.win_step))
-        return self._folded._from_dots(*_window_dots(ws.signal, ws.starts, ws.win_len, blocks))
-
     def predict_windows(self, ws: WindowSet) -> np.ndarray:
         """Labels (0=Left, 1=Right) equal to ``clf.predict(transform(ws))``.
 
         Every raw feature row x is scored once, as ``x . w_eff + b_eff``
         (see ``LinearClassifier.fold``; w_eff = w without PCA); in ``pca``
-        mode the rows are never built, and the dots are summed from blocks
-        of the signal that overlapping windows share. A row keeps that sign
-        when |score| exceeds the rounding bound of both paths, which makes
-        it the two-step sign whatever order either path sums in. Any other
-        row is built and rescored alone on the two-step path, so a window
-        gets the same vote in a batch as when it is streamed by itself.
+        mode the rows are never built, and ``features.window_dots`` sums the
+        dots from blocks of the signal that overlapping windows share. A row
+        keeps that sign when |score| exceeds the rounding bound of both
+        paths, which makes it the two-step sign whatever order either path
+        sums in. Any other row is built and rescored alone on the two-step
+        path, so a window gets the same vote in a batch as when it is
+        streamed by itself.
         """
         config = self.pipeline.config
         if config.uses_psd:
             return self._predict_rows(raw_feature_matrix(ws, config, self.params).X)
-        return self._votes(*self._folded_window_scores(ws),
+        folded = self._folded
+        return self._votes(*folded._from_dots(*window_dots(ws, folded.weights)),
                            lambda i: ws[i : i + 1].flattened())
 
     def _predict_rows(self, X: np.ndarray) -> np.ndarray:
@@ -259,16 +247,33 @@ def cv_from_matrix(
     return _cv_per_k(fm, config, [config.k], clf_kind)[0]
 
 
+def _cv_source(
+    ws: WindowSet, config: FeatureConfig, params: PreprocessParams
+) -> FeatureMatrix | WindowSet:
+    """What CV cuts each fold's raw rows from: the session's Welch matrix in
+    ``psd`` modes, else ws itself, flattened a fold's rows at a time."""
+    return raw_feature_matrix(ws, config, params) if config.uses_psd else ws
+
+
 def _cv_per_k(
-    fm: FeatureMatrix, config: FeatureConfig, ks: Sequence[int], clf_kind: str
+    source: FeatureMatrix | WindowSet, config: FeatureConfig, ks: Sequence[int],
+    clf_kind: str
 ) -> list[CvReport]:
     """cv_from_matrix at every PCA size in ks, with one PCA fit per fold.
 
     PCA components are nested across k, so each fold fits PCA once at
     max(ks) and gives each k the leading k projected columns; only the
-    classifier is refit per k.
+    classifier is refit per k. A WindowSet source is flattened one fold's
+    training rows, then its held-out rows, at a time
+    (``ws[mask].flattened()`` has the bits of ``flatten_windows(ws).X[mask]``),
+    so no fold copies its rows out of a whole-session matrix.
     """
-    runs = np.unique(fm.run_index)
+    def rows(mask: np.ndarray) -> np.ndarray:
+        if isinstance(source, WindowSet):
+            return source[mask].flattened()
+        return source.X[mask]
+
+    runs = np.unique(source.run_index)
     if len(runs) < 2:
         raise TooFewRuns(f"run-wise CV needs >= 2 runs, got {len(runs)}")
     fit_config = replace(config, k=max(ks)) if config.uses_pca else config
@@ -276,12 +281,12 @@ def _cv_per_k(
 
     # one call per fold, so a fold's arrays are freed before the next allocates
     def one_fold(r: int) -> list[float]:
-        test = fm.run_index == r
-        ytr, yte = fm.labels[~test], fm.labels[test]
-        # a PCA fit centers the copy of the training rows in place and frees
-        # it; the held-out rows are cut after it, and centered in place too
-        pipe, Ztr = fit_pipeline(fm.X[~test], fit_config)
-        Zte = fm.X[test]
+        test = source.run_index == r
+        ytr, yte = source.labels[~test], source.labels[test]
+        # a PCA fit centers the fold's own training rows in place and frees
+        # them; the held-out rows are cut after it, and centered in place too
+        pipe, Ztr = fit_pipeline(rows(~test), fit_config)
+        Zte = rows(test)
         if pipe.pca is not None:
             Zte = _project_in_place(pipe.pca, Zte)
         accs = []
@@ -308,7 +313,7 @@ def runwise_cv(
     clf_kind: str = "lda",
 ) -> CvReport:
     ws = windows_from_recording(session.recording, params)
-    return cv_from_matrix(raw_feature_matrix(ws, config, params), config, clf_kind)
+    return _cv_per_k(_cv_source(ws, config, params), config, [config.k], clf_kind)[0]
 
 
 @dataclass(frozen=True)
@@ -347,8 +352,7 @@ def pca_sweep(
     if not config.uses_pca:
         raise BadK(f"mode {config.mode!r} has no PCA stage to sweep")
     ws = windows_from_recording(session.recording, params)
-    fm = raw_feature_matrix(ws, config, params)
-    reports = _cv_per_k(fm, config, ks, clf_kind)
+    reports = _cv_per_k(_cv_source(ws, config, params), config, ks, clf_kind)
     points = tuple((k, rep.mean) for k, rep in zip(ks, reports))
     return SweepReport(points=points, reports=tuple(reports))
 
@@ -379,15 +383,20 @@ def train_decoder(
     windows rather than reusing the first session's transform.
     """
     _check_layout(sessions)
-    raws = []
-    labels = []
-    for s in sessions:
-        ws = windows_from_recording(s.recording, params)
-        fm = raw_feature_matrix(ws, config, params)
-        raws.append(fm.X)
-        labels.append(fm.labels)
-    X = raws[0] if len(raws) == 1 else np.vstack(raws)
-    y = np.concatenate(labels)
+    sets = [windows_from_recording(s.recording, params) for s in sessions]
+    if len(sets) == 1:
+        X = raw_feature_matrix(sets[0], config, params).X
+    else:
+        # one training matrix, filled a session at a time, so that only one
+        # session's raw rows exist beside it
+        ends = np.cumsum([ws.n_windows for ws in sets])
+        for ws, end in zip(sets, ends.tolist()):
+            rows = raw_feature_matrix(ws, config, params).X
+            if ws is sets[0]:
+                X = np.empty((ends[-1], rows.shape[1]))
+            X[end - ws.n_windows : end] = rows
+            del rows
+    y = np.concatenate([ws.labels for ws in sets])
     pipe, Z = fit_pipeline(X, config)  # may center X in place: read its shape only
     clf = fit_classifier(clf_kind, Z, y)
     prov = {

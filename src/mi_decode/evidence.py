@@ -340,10 +340,11 @@ def grid_search(
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidThreshold(f"alpha and beta must be finite, got {alpha}, {beta}")
 
+    # every cell is checked before the recording is windowed and predicted
+    configs = [EvidenceConfig(threshold=th, step=d) for th, d in product(thresholds, steps)]
     labels, votes = _trial_votes(decoder, rec, causal)
     cells = []
-    for th, d in product(thresholds, steps):
-        cfg = EvidenceConfig(threshold=th, step=d)
+    for cfg in configs:
         outcomes = [accumulate(v, cfg) for v in votes]
         cells.append((cfg, _report(labels, outcomes, cfg, decoder.params)))
 

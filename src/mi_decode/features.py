@@ -40,14 +40,15 @@ start once and adds every window's own segments into its row in the same
 order as welch_psd, so each feature row equals the kept bins of welch_psd
 of its window bit for bit. psd_rows gives the same rows one streamed
 window at a time, transforming only the segments that no earlier window
-of the trial needed. Linear scores of flattened windows are summed the
-same way, from time blocks of the signal that overlapping windows share,
-without flattening them.
+of the trial needed. window_dots, the one batch scorer of a ``pca``
+decoder, sums linear scores of flattened windows the same way, from time
+blocks of the signal that overlapping windows share.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -438,65 +439,49 @@ def _welch(signal: np.ndarray, starts: np.ndarray, win_len: int, spec: WelchSpec
     return out
 
 
-def _time_major_blocks(weights: np.ndarray, win_len: int, block: int) -> np.ndarray:
-    """Weights over channel-major flattened windows, regrouped by time block.
+def window_dots(ws: WindowSet, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dots x_i . weights and squared norms ||x_i||^2 of the windows of ws,
+    flattened as ``WindowSet.flattened`` does, without flattening them.
 
-    Row b holds the weights of samples [b*block, (b+1)*block) of every
-    channel, time-major like the signal: the (win_len // block,
-    block * n_channels) layout that ``_window_dots`` multiplies blocks by.
+    The signal and the weights are cut into time blocks of
+    gcd(win_len, win_step) samples, so that two windows of a trial share
+    every block they overlap in. Each distinct block of a chunk of windows
+    is cut once (78 for a 63-window trial at the default 32-sample step);
+    one product P = blocks @ block_weights.T scores every block at every
+    position, and window i sums P[index[i, b], b] over its blocks b, in
+    another order than a flattened row's dot, which a bound built for any
+    summation order does not notice.
+
+    At a step of r blocks the product does about r times the multiply-adds
+    of one dot per window. On a 2-core VM (k=200 weights, a 12-trial online
+    session): 756 windows at the default step (r = 1) took 1.3 ms; 60 at a
+    480-sample step (r = 15) 1.1 ms, where a dot each took 0.5 ms; 732 at a
+    33-sample step (r = 33, one-sample blocks), the worst case, 25 ms
+    against 4 ms.
     """
-    n_channels = weights.shape[0] // win_len
-    by_time = weights.reshape(n_channels, win_len // block, block).transpose(1, 2, 0)
-    return np.ascontiguousarray(by_time).reshape(win_len // block, -1)
-
-
-# A chunk is scored from shared blocks while it holds fewer distinct blocks
-# than this per window: the block product then does under 4x the
-# multiply-adds of one dot per window, at about a fifth of the time each
-# (on a 2-core VM, 1.9 us per window at the default 32-sample step against
-# 8 us for a dot per window). Windows that share few blocks (a lone
-# window, scattered starts, a step whose gcd with the window length is 1)
-# are scored one dot each, which takes the same 8 us.
-SHARED_BLOCKS_PER_WINDOW = 4
-
-
-def _window_dots(signal: np.ndarray, starts: np.ndarray, win_len: int,
-                 block_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dots x_i . w and squared norms ||x_i||^2 of the flattened windows
-    x_i = signal[starts[i] : starts[i] + win_len], without flattening them.
-
-    block_weights is w in the ``_time_major_blocks`` layout, with block the
-    gcd of win_len and the window step, so that two windows of a trial
-    share every block they overlap in. Each distinct block of a chunk of
-    CHUNK_WINDOWS windows is cut from the signal once (78 for a 63-window
-    trial at the default 32-sample step); one product P = blocks @
-    block_weights.T scores every block at every position, and window i
-    sums P[index[i, b], b] over its blocks b. A chunk whose windows share
-    too few blocks for P to pay (see SHARED_BLOCKS_PER_WINDOW) takes one
-    dot per window instead, of its samples, which are contiguous in the
-    signal. Either way the sums run in another order than a flattened
-    row's dot, which a bound built for any summation order does not notice.
-    Only batches come here: a streamed window is scored as its flattened row.
-    """
-    n_blocks, block_size = block_weights.shape
-    block = win_len // n_blocks
-    flat_weights = block_weights.reshape(-1)
+    n_channels, win_len = ws.n_channels, ws.win_len
+    if n_channels * win_len != weights.shape[0]:
+        raise DimensionMismatch(f"windows of {n_channels} x {win_len} samples, "
+                                f"weights for {weights.shape[0]} features")
+    block = math.gcd(win_len, ws.win_step)
+    n_blocks = win_len // block
+    # row b: the weights of samples [b*block, (b+1)*block) of every channel
+    by_time = weights.reshape(n_channels, n_blocks, block).transpose(1, 2, 0)
+    block_weights = np.ascontiguousarray(by_time).reshape(n_blocks, -1)
     # (start, block) view of every block the signal holds, as rows
-    blocks = sliding_window_view(signal.reshape(-1), block_size)[:: signal.shape[1]]
+    blocks = sliding_window_view(ws.signal.reshape(-1), block * n_channels)[::n_channels]
     positions = np.arange(n_blocks)
+    # a step of r blocks brings r new blocks per window: CHUNK_WINDOWS // r
+    # windows to a chunk keep P near CHUNK_WINDOWS x n_blocks entries
+    per_chunk = max(1, CHUNK_WINDOWS * block // max(ws.win_step, block))
     parts = [(np.empty(0), np.empty(0))]  # no windows: empty arrays
-    for lo in range(0, len(starts), CHUNK_WINDOWS):
-        st = starts[lo : lo + CHUNK_WINDOWS]
+    for lo in range(0, ws.n_windows, per_chunk):
+        st = ws.starts[lo : lo + per_chunk]
         offsets, index, _ = _segment_plan((st - st[0]).tobytes(), block, n_blocks)
-        if len(offsets) < SHARED_BLOCKS_PER_WINDOW * len(st):
-            chunk = blocks[st[0] + offsets]
-            partial = chunk @ block_weights.T
-            parts.append((partial[index, positions].sum(axis=1),
-                          np.einsum("ij,ij->i", chunk, chunk)[index].sum(axis=1)))
-        else:
-            rows = [signal[s : s + win_len].reshape(-1) for s in st.tolist()]
-            parts.append((np.array([x @ flat_weights for x in rows]),
-                          np.array([x @ x for x in rows])))
+        chunk = blocks[st[0] + offsets]
+        partial = chunk @ block_weights.T
+        parts.append((partial[index, positions].sum(axis=1),
+                      np.einsum("ij,ij->i", chunk, chunk)[index].sum(axis=1)))
     dots, sq_norms = zip(*parts)
     return np.concatenate(dots), np.concatenate(sq_norms)
 

@@ -44,6 +44,7 @@ from mi_decode.features import (
     WelchSpec,
     pca_fit,
     pca_transform,
+    window_dots,
 )
 from mi_decode.session import EventKind, EventMarker, Recording, Session, SessionKind
 from mi_decode.synth import SynthSpec, generate_session
@@ -295,6 +296,24 @@ def test_pca_sweep_refuses_k_below_1_before_windowing(small_offline, monkeypatch
         pca_sweep(small_offline, ks=ks, config=SMALL_FEATURES)
 
 
+def test_pca_cv_flattens_fold_rows_without_the_session_matrix(small_offline):
+    config = FeatureConfig(mode="pca", k=8)
+    ws = windows_from_recording(small_offline.recording, PreprocessParams())
+    tracemalloc.start()
+    try:
+        sweep = pca_sweep(small_offline, ks=(4, 8), config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole session's flattened rows would take n_windows x 6656 x 8 bytes
+    assert peak < ws.n_windows * 6656 * 8
+    # the folds score as on the rows of the session matrix
+    fm = features.flatten_windows(ws)
+    for k, rep in zip((4, 8), sweep.reports):
+        assert rep.to_dict() == cv_from_matrix(fm, replace(config, k=k)).to_dict()
+    assert runwise_cv(small_offline, config).to_dict() == sweep.reports[1].to_dict()
+
+
 # --- decoder training -------------------------------------------------------
 
 
@@ -331,6 +350,31 @@ def test_train_decoder_union(small_offline, small_online):
     assert not np.array_equal(
         tuned.pipeline.pca.components, base.pipeline.pca.components
     )
+
+
+def test_train_decoder_fills_one_matrix_from_several_sessions(small_offline, small_online,
+                                                              tmp_path):
+    config = FeatureConfig(mode="pca", k=8)
+    sessions = [small_offline, small_online]
+    tracemalloc.start()
+    try:
+        tuned = train_decoder(sessions, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = tuned.provenance["n_windows"]
+    # the training matrix and one session's rows beside it take 1.5 times
+    # its bytes; stacking every session's rows held two training matrices
+    assert peak < 1.9 * n * 6656 * 8
+
+    # the same fit as on the stacked rows
+    rows = [evaluate.raw_feature_matrix(
+        windows_from_recording(s.recording, PreprocessParams()), config) for s in sessions]
+    pipe, Z = evaluate.fit_pipeline(np.vstack([fm.X for fm in rows]), config)
+    assert pipe.pca.components.tobytes() == tuned.pipeline.pca.components.tobytes()
+    clf = fit_classifier("lda", Z, np.concatenate([fm.labels for fm in rows]))
+    assert clf.weights.tobytes() == tuned.clf.weights.tobytes()
+    assert clf.bias == tuned.clf.bias
 
 
 def test_train_decoder_layout_checks(small_offline):
@@ -567,17 +611,19 @@ def _window_set(signal, starts, win_step):
                      fs=512.0, win_len=512, win_step=win_step)
 
 
-@pytest.mark.parametrize("shared_blocks_per_window", [np.inf, 0])  # blocks; a dot each
-@pytest.mark.parametrize("case", ["irregular", "step-20", "over-one-chunk", "one-window"])
-def test_block_scores_match_flattened_rows(small_pca_decoder, small_online, monkeypatch,
-                                           case, shared_blocks_per_window):
-    monkeypatch.setattr(features, "SHARED_BLOCKS_PER_WINDOW", shared_blocks_per_window)
+@pytest.mark.parametrize("case", ["irregular", "step-20", "step-33", "step-480",
+                                  "over-one-chunk", "one-window"])
+def test_block_scores_match_flattened_rows(small_pca_decoder, small_online, case):
     signal = small_pca_decoder.windows(small_online.recording).signal
     last = signal.shape[0] - 512
     if case == "irregular":  # overlapping, repeated and out of order
         starts, step = [640, 96, 96, 0, 32, 5000, 4999, 64, last, 640, 33], 32
     elif case == "step-20":  # 20 does not divide 512: blocks of gcd = 4 samples
         starts, step = np.r_[np.arange(0, 1200, 20), [3, 2001, 20]], 20
+    elif case == "step-33":  # coprime with 512: one-sample blocks, chunks of 15
+        starts, step = np.arange(0, last + 1, 33), 33
+    elif case == "step-480":  # neighbours share one 32-sample block of 16
+        starts, step = np.arange(0, last + 1, 480), 480
     elif case == "over-one-chunk":
         rng = np.random.default_rng(7)
         starts, step = rng.integers(0, last + 1, size=CHUNK_WINDOWS + 90), 32
@@ -587,12 +633,33 @@ def test_block_scores_match_flattened_rows(small_pca_decoder, small_online, monk
     d = small_pca_decoder
 
     assert np.array_equal(d.predict_windows(ws), _two_step_prediction(d, ws))
-    s_block, _ = d._folded_window_scores(ws)
-    X = ws.flattened()
     folded = d._folded
+    dots, sq_norms = window_dots(ws, folded.weights)
+    X = ws.flattened()
     s_rows = X @ folded.weights + folded.bias
     bound = folded.slope * np.linalg.norm(X, axis=1) + folded.offset
-    assert np.all(np.abs(s_block - s_rows) <= bound)
+    assert np.all(np.abs(dots + folded.bias - s_rows) <= bound)
+    assert np.allclose(sq_norms, np.einsum("ij,ij->i", X, X), rtol=1e-12, atol=0)
+
+
+def test_window_dots_product_stays_small_at_a_coprime_step(small_pca_decoder, small_online):
+    signal = small_pca_decoder.windows(small_online.recording).signal
+    ws = _window_set(signal, np.arange(0, signal.shape[0] - 511, 33), 33)
+    tracemalloc.start()
+    try:
+        window_dots(ws, small_pca_decoder._folded.weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one-sample blocks: a chunk of CHUNK_WINDOWS windows would hold about
+    # 33 x CHUNK_WINDOWS blocks, each scored at all 512 positions
+    assert peak < 8 * CHUNK_WINDOWS * 512 * 8
+
+
+def test_window_dots_refuses_a_width_the_weights_do_not_have(small_pca_decoder, small_online):
+    ws = small_pca_decoder.windows(small_online.recording)
+    with pytest.raises(DimensionMismatch, match="13 x 512"):
+        window_dots(ws, small_pca_decoder._folded.weights[:-13])
 
 
 def test_pca_scoring_builds_no_window_rows(small_pca_decoder, small_online, monkeypatch):

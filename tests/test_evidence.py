@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mi_decode import evidence
+from mi_decode import evaluate, evidence
 from mi_decode.dsp import (
     PreprocessParams,
     Trial,
@@ -397,6 +397,21 @@ def test_grid_errors():
         grid_search(decoder, None, [], [0.1])
     with pytest.raises(ValueError):
         grid_search(decoder, None, [0.3], [0.1], objective="fancy")
+
+
+def test_grid_checks_every_cell_before_windowing(small_decoder, small_online, monkeypatch):
+    windowed = []
+
+    def spy(*args, **kwargs):
+        windowed.append(args)
+        return windows_from_recording(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "windows_from_recording", spy)
+    # threshold 0.05 is below step 0.1: that cell is refused
+    with pytest.raises(InvalidThreshold):
+        grid_search(small_decoder, small_online.recording, thresholds=[0.05, 0.5],
+                    steps=[0.1])
+    assert windowed == []
 
 
 def test_weighted_objective_matches_hand_scoring():
